@@ -87,6 +87,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.packets_hashed));
   std::printf("bytes_delivered %llu\n",
               static_cast<unsigned long long>(r.bytes_delivered));
+  std::printf("integrity_errors %llu\n",
+              static_cast<unsigned long long>(
+                  r.payload_check.integrity_errors));
+  std::printf("alg_rewritten_bytes %llu\n",
+              static_cast<unsigned long long>(
+                  r.payload_check.alg_rewritten_bytes));
 
   if (!stats_path.empty()) {
     std::FILE* f = std::fopen(stats_path.c_str(), "w");

@@ -30,8 +30,10 @@ void BulkSender::fill() {
       want = static_cast<size_t>(
           std::min<uint64_t>(want, total_ - written_));
     }
-    const auto chunk = pattern_bytes(written_, want);
-    const size_t n = sock_.write(chunk);
+    // Generate only what write() will take, but still call it when that
+    // is nothing: a zero-byte write() kicks the transport's try_send().
+    const size_t n = sock_.write(
+        pattern_view(written_, std::min(want, sock_.send_space())));
     written_ += n;
     if (n < want) return;  // buffer full; resume on on_send_space
   }
@@ -58,9 +60,8 @@ void BulkReceiver::drain() {
     for (;;) {
       const size_t n = sock_.read(buf);
       if (n == 0) break;
-      for (size_t i = 0; i < n; ++i) {
-        if (buf[i] != pattern_byte(received_ + i)) ++pattern_errors_;
-      }
+      pattern_errors_ +=
+          pattern_mismatches(received_, std::span<const uint8_t>(buf, n));
       received_ += n;
     }
   } else {

@@ -83,11 +83,15 @@ void ConnectionPool::dial(Conn& c) {
     dispatch_queued();
     return true;
   };
-  c.reader.on_payload = [raw](const FrameHeader&,
-                              std::span<const uint8_t> view) {
-    // Response bodies are pattern bytes; count and discard straight off
-    // the zero-copy receive path.
-    if (!raw->pending.empty()) raw->pending.front().got += view.size();
+  c.reader.on_payload = [this, raw](const FrameHeader&,
+                                    std::span<const uint8_t> view) {
+    // Response bodies are pattern bytes from offset 0 of each attempt;
+    // check and count them in place on the zero-copy receive path.
+    if (!raw->pending.empty()) {
+      Pending& p = raw->pending.front();
+      checked_.record(*raw->sock, pattern_mismatches(p.got, view));
+      p.got += view.size();
+    }
     return true;
   };
   s.on_connected = [this, raw] {

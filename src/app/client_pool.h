@@ -6,9 +6,10 @@
 // server and multiplexes framed requests over them: submit() picks the
 // least-loaded connection with spare mux capacity (lowest index on
 // ties), writes a 32-byte serving request, and parses the in-order
-// framed responses with a FrameReader -- response bodies are discarded
-// straight off the zero-copy receive path. Requests past every
-// connection's mux limit wait in a pool-wide FIFO.
+// framed responses with a FrameReader -- response bodies are checked
+// against the pattern and discarded straight off the zero-copy receive
+// path. Requests past every connection's mux limit wait in a pool-wide
+// FIFO.
 //
 // Failure handling is explicit and bounded: a connection that dies (or
 // misbehaves -- response frames must echo the oldest outstanding req_id)
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "app/framing.h"
+#include "app/harness.h"
 #include "app/socket_factory.h"
 
 namespace mptcp {
@@ -90,6 +92,8 @@ class ConnectionPool {
   uint64_t rejected() const { return rejected_; }
   uint64_t errors() const { return errors_; }
   uint64_t submitted() const { return next_req_id_; }
+  /// Response-body bytes checked against the pattern on receipt.
+  const PayloadCheck& payload_check() const { return checked_; }
   /// Requests outstanding on connections (not counting the queue).
   size_t inflight() const;
   size_t queued() const { return queue_.size(); }
@@ -136,6 +140,7 @@ class ConnectionPool {
   uint64_t completed_ = 0;
   uint64_t rejected_ = 0;
   uint64_t errors_ = 0;
+  PayloadCheck checked_;
   bool started_ = false;
   bool stopped_ = false;
 };

@@ -199,6 +199,7 @@ DigestResult run_capacity_digest(const DigestConfig& cfg) {
   topo.loop().run_until(cfg.duration);
 
   out.bytes_delivered = engine.bytes_received(0);
+  out.payload_check = engine.payload_check();
   out.stats_json = topo.dump_stats();
   fold_stats(hash, topo.stats());
 
@@ -295,6 +296,7 @@ DigestResult run_sharded_capacity_digest(const DigestConfig& cfg) {
   }
 
   out.bytes_delivered = workload.bytes_received();
+  out.payload_check = workload.payload_check();
   out.stats_json = topo.dump_stats();
   out.digest = hash;
   return out;
@@ -421,6 +423,7 @@ DigestResult run_fleet_digest(const DigestConfig& cfg) {
   }
 
   out.bytes_delivered = m.bytes_received;
+  out.payload_check = m.payload_check;
   out.stats_json = topo.dump_stats();
   out.digest = hash;
   return out;
@@ -489,6 +492,7 @@ DigestResult run_serving_digest(const DigestConfig& cfg) {
   topo.loop().run_until(cfg.duration);
 
   out.bytes_delivered = engine.bytes_received(0);
+  out.payload_check = engine.payload_check();
   out.stats_json = topo.dump_stats();
   fold_stats(hash, topo.stats());
 

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "app/harness.h"
 #include "core/scheduler.h"
 #include "sim/event_loop.h"
 
@@ -60,6 +61,9 @@ struct DigestResult {
   uint64_t digest = 0;          ///< FNV-1a 64 over packets + final stats
   uint64_t packets_hashed = 0;  ///< link crossings folded into the digest
   uint64_t bytes_delivered = 0;
+  /// Delivered-byte check of the workload-engine scenarios (capacity,
+  /// sharded capacity, fleet, serving); not folded into the digest.
+  PayloadCheck payload_check;
   std::string stats_json;       ///< the run's full stats export
 };
 

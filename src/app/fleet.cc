@@ -457,6 +457,7 @@ FleetMetrics FleetEngine::metrics() const {
     WorkloadEngine& e = self->scenario_->engine(isl.engine_idx);
     m.flows_started += e.started(0);
     m.bytes_received += e.bytes_received(0);
+    m.payload_check += e.payload_check();
   }
   std::vector<uint64_t> fct;
   for (const ShardAcc& a : accs_) {

@@ -29,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "app/harness.h"
 #include "app/scenario.h"
 
 namespace mptcp {
@@ -157,6 +158,11 @@ struct FleetMetrics {
   uint64_t fct_samples = 0;
   uint64_t fct_p50_us = 0;
   uint64_t fct_p99_us = 0;
+
+  /// Delivered bytes that did not match the pattern: alg_rewritten_bytes
+  /// on connections that fell back, integrity_errors (must be 0) on all
+  /// others. Not folded into the fleet digest.
+  PayloadCheck payload_check;
 
   double fallback_rate() const {
     return connections == 0

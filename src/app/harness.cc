@@ -1,5 +1,10 @@
 #include "app/harness.h"
 
+#include <algorithm>
+#include <cstring>
+
+#include "core/mptcp_connection.h"
+
 namespace mptcp {
 
 namespace {
@@ -112,9 +117,72 @@ void TwoHostRig::set_path_up(size_t i, bool up) {
   paths_[i].down->set_up(up);
 }
 
+void pattern_fill(uint64_t offset, std::span<uint8_t> out) {
+  uint64_t x = offset * kPatternMul;
+  for (uint8_t& b : out) {
+    b = static_cast<uint8_t>(x >> 56);
+    x += kPatternMul;
+  }
+}
+
+std::span<const uint8_t> pattern_view(uint64_t offset, size_t n) {
+  thread_local std::vector<uint8_t> scratch;
+  if (scratch.size() < n) scratch.resize(n);
+  const std::span<uint8_t> out(scratch.data(), n);
+  pattern_fill(offset, out);
+  return out;
+}
+
+uint64_t pattern_mismatches(uint64_t offset, std::span<const uint8_t> bytes) {
+  constexpr size_t kBlock = 1024;
+  uint8_t ref[kBlock];
+  uint64_t bad = 0;
+  for (size_t i = 0; i < bytes.size(); i += kBlock) {
+    const size_t n = std::min(kBlock, bytes.size() - i);
+    pattern_fill(offset + i, std::span<uint8_t>(ref, n));
+    if (std::memcmp(ref, bytes.data() + i, n) == 0) continue;
+    for (size_t j = 0; j < n; ++j) bad += ref[j] != bytes[i + j];
+  }
+  return bad;
+}
+
+uint64_t readable_pattern_mismatches(const StreamSocket& sock, uint64_t offset,
+                                     size_t n) {
+  std::span<const uint8_t> views[32];
+  const size_t nviews = sock.peek_views(views);
+  uint64_t bad = 0;
+  size_t done = 0;
+  for (size_t i = 0; i < nviews && done < n; ++i) {
+    const auto v = views[i].first(std::min(views[i].size(), n - done));
+    bad += pattern_mismatches(offset + done, v);
+    done += v.size();
+  }
+  // Bytes queued behind more chunks than there are view slots (heavily
+  // split segments) are gathered through the copying path instead.
+  uint8_t buf[1024];
+  while (done < n) {
+    const size_t got = sock.peek_copy(
+        done, std::span<uint8_t>(buf, std::min(sizeof buf, n - done)));
+    if (got == 0) break;
+    bad += pattern_mismatches(offset + done, std::span(buf, got));
+    done += got;
+  }
+  return bad;
+}
+
+void PayloadCheck::record(const StreamSocket& sock, uint64_t mismatches) {
+  if (mismatches == 0) return;
+  const auto* conn = dynamic_cast<const MptcpConnection*>(&sock);
+  if (conn != nullptr && conn->meta_stats().fallbacks > 0) {
+    alg_rewritten_bytes += mismatches;
+  } else {
+    integrity_errors += mismatches;
+  }
+}
+
 std::vector<uint8_t> pattern_bytes(uint64_t offset, size_t n) {
   std::vector<uint8_t> out(n);
-  for (size_t i = 0; i < n; ++i) out[i] = pattern_byte(offset + i);
+  pattern_fill(offset, out);
   return out;
 }
 

@@ -9,12 +9,14 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "sim/link.h"
 #include "sim/network.h"
 #include "sim/trace.h"
+#include "tcp/tcp_socket.h"
 
 namespace mptcp {
 
@@ -103,13 +105,61 @@ class TwoHostRig {
   uint64_t seed_;
 };
 
+/// Multiplier of the deterministic payload pattern.
+inline constexpr uint64_t kPatternMul = 0x9e3779b97f4a7c15ULL;
+
 /// Deterministic payload pattern used for end-to-end integrity checks:
 /// byte i of a stream is pattern_byte(i).
 inline uint8_t pattern_byte(uint64_t i) {
-  return static_cast<uint8_t>((i * 0x9e3779b97f4a7c15ULL) >> 56);
+  return static_cast<uint8_t>((i * kPatternMul) >> 56);
 }
 
-/// Fills `out` with the pattern for stream offsets [offset, offset+n).
+/// Writes the pattern for stream offsets [offset, offset + out.size())
+/// into `out`. The one generator every sender and verifier uses: an
+/// additive recurrence (x += kPatternMul per byte) that is bit-identical
+/// to pattern_byte() mod 2^64 and that the compiler vectorizes.
+void pattern_fill(uint64_t offset, std::span<uint8_t> out);
+
+/// The pattern for [offset, offset + n) in a per-thread scratch buffer:
+/// no allocation per call. The view stays valid until the calling
+/// thread's next pattern_view(); write() copies what it accepts before
+/// any callback can run, so passing the view straight to write() is safe.
+std::span<const uint8_t> pattern_view(uint64_t offset, size_t n);
+
+/// Number of bytes of `bytes` that differ from the pattern at stream
+/// offsets [offset, offset + bytes.size()). Compares 1 KiB reference
+/// blocks with memcmp and counts byte by byte only inside a block that
+/// differs.
+uint64_t pattern_mismatches(uint64_t offset, std::span<const uint8_t> bytes);
+
+/// pattern_mismatches() over the first `n` readable bytes of `sock`
+/// (n <= sock.readable_bytes()), checked in place on the receive queue's
+/// zero-copy views; nothing is consumed.
+uint64_t readable_pattern_mismatches(const StreamSocket& sock, uint64_t offset,
+                                     size_t n);
+
+/// Tally of delivered bytes that did not match the pattern, split by
+/// whether the connection was entitled to deliver rewritten bytes.
+struct PayloadCheck {
+  /// Mismatches on a connection that never fell back: real corruption,
+  /// must be 0.
+  uint64_t integrity_errors = 0;
+  /// Mismatches on an MPTCP connection that fell back -- to plain TCP, or
+  /// to unchecked delivery on its one subflow after a DSS checksum
+  /// failure (paper section 3.3.6). A payload-modifying middlebox's
+  /// rewrites reach the application there by design.
+  uint64_t alg_rewritten_bytes = 0;
+
+  /// Books `mismatches` bytes delivered by `sock` (no-op for 0).
+  void record(const StreamSocket& sock, uint64_t mismatches);
+  PayloadCheck& operator+=(const PayloadCheck& o) {
+    integrity_errors += o.integrity_errors;
+    alg_rewritten_bytes += o.alg_rewritten_bytes;
+    return *this;
+  }
+};
+
+/// The pattern for stream offsets [offset, offset+n) as a fresh vector.
 std::vector<uint8_t> pattern_bytes(uint64_t offset, size_t n);
 
 }  // namespace mptcp

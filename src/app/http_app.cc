@@ -49,8 +49,8 @@ void HttpServer::Conn::pump_response() {
   while (response_sent < response_size) {
     const size_t chunk = static_cast<size_t>(
         std::min<uint64_t>(16 * 1024, response_size - response_sent));
-    const auto bytes = pattern_bytes(response_sent, chunk);
-    const size_t n = sock->write(bytes);
+    const size_t n = sock->write(
+        pattern_view(response_sent, std::min(chunk, sock->send_space())));
     response_sent += n;
     self->bytes_ += n;
     if (n < chunk) return;  // buffer full; resume on send space

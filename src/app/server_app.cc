@@ -132,9 +132,8 @@ void ServerApp::Conn::pump_response() {
           FrameHeader{kFrameData, static_cast<uint32_t>(n),
                       front.req.req_id},
           frame_buf);
-      const auto body = pattern_bytes(response_sent, n);
-      std::copy(body.begin(), body.end(),
-                frame_buf.begin() + kFrameHeaderSize);
+      pattern_fill(response_sent,
+                   std::span<uint8_t>(frame_buf).subspan(kFrameHeaderSize));
       response_sent += n;
       self->bytes_ += n;
     } else if (!tail_staged()) {

@@ -352,13 +352,15 @@ void WorkloadEngine::launch(ClientSlot& slot, bool persistent) {
 
 void WorkloadEngine::drain(Flow& f) {
   ClassState& cls = classes_[f.cls];
-  // The engine only counts bytes, so consume() releases them with no copy
-  // at all. Consumption stays in 16 KiB steps: the cadence of receive
-  // window updates (hence the packet trace) depends on how much is
-  // released per call, and this matches the historical read-loop quantum.
+  // The engine checks bytes in place on the receive queue's views, then
+  // consume() releases them with no copy at all. Consumption stays in
+  // 16 KiB steps: the cadence of receive window updates (hence the packet
+  // trace) depends on how much is released per call, and this matches
+  // the historical read-loop quantum.
   for (;;) {
     const size_t n = std::min<size_t>(f.sock->readable_bytes(), 16 * 1024);
     if (n == 0) break;
+    checked_.record(*f.sock, readable_pattern_mismatches(*f.sock, f.got, n));
     f.sock->consume(n);
     f.got += n;
     cls.bytes += n;
@@ -386,6 +388,14 @@ void WorkloadEngine::finish(Flow& f, bool ok) {
   }
   f.sock->close();
   detach(f);
+}
+
+PayloadCheck WorkloadEngine::payload_check() const {
+  PayloadCheck total = checked_;
+  for (const auto& slot : slots_) {
+    if (slot->pool) total += slot->pool->payload_check();
+  }
+  return total;
 }
 
 void WorkloadEngine::for_each_open_socket(
@@ -724,6 +734,12 @@ uint64_t ShardedCapacityWorkload::total_errors() const {
     for (size_t k = 0; k < e->class_count(); ++k) n += e->errors(k);
   }
   return n;
+}
+
+PayloadCheck ShardedCapacityWorkload::payload_check() const {
+  PayloadCheck total;
+  for (const auto& e : engines_) total += e->payload_check();
+  return total;
 }
 
 uint64_t ShardedCapacityWorkload::bytes_received() const {

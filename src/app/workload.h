@@ -252,6 +252,7 @@ class ShardedCapacityWorkload {
   uint64_t total_completed() const;
   uint64_t total_errors() const;
   uint64_t bytes_received() const;
+  PayloadCheck payload_check() const;
   size_t engine_count() const { return engines_.size(); }
   WorkloadEngine& engine(size_t i) { return *engines_[i]; }
 
@@ -280,6 +281,10 @@ class WorkloadEngine {
   uint64_t bytes_received(size_t cls) const { return classes_[cls].bytes; }
   const Histogram& fct_us(size_t cls) const { return *classes_[cls].fct_us; }
   size_t class_count() const { return classes_.size(); }
+  /// Every client-side byte received so far, checked against the pattern
+  /// (flow drains and pooled response bodies, all classes). Kept out of
+  /// the stats registry so no digest folds it.
+  PayloadCheck payload_check() const;
 
   // --- serving-stack introspection (kServing / kStreaming classes) -----
   uint64_t requests_rejected(size_t cls) const {
@@ -398,6 +403,7 @@ class WorkloadEngine {
   std::unordered_map<Flow*, std::unique_ptr<Flow>> flows_;
   uint64_t next_flow_id_ = 0;
   size_t peak_concurrent_ = 0;
+  PayloadCheck checked_;  ///< flow drains; pools keep their own
   bool started_ = false;
   bool stopped_ = false;
 };

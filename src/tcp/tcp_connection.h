@@ -62,6 +62,9 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   /// Queues bytes for transmission; returns how many were accepted
   /// (bounded by send-buffer space).
   size_t write(std::span<const uint8_t> bytes) override;
+  size_t send_space() const override {
+    return fin_pending_ || fin_sent_ ? 0 : snd_buf_space();
+  }
 
   /// Like write(), but shares an already-refcounted buffer instead of
   /// copying (used by MPTCP to push mapped data down to subflows).

@@ -19,6 +19,12 @@ class StreamSocket {
   /// Queues bytes for transmission; returns how many were accepted.
   virtual size_t write(std::span<const uint8_t> bytes) = 0;
 
+  /// Exactly how many bytes write() would accept right now: a write of
+  /// more accepts send_space(), a write of less accepts all of it, and 0
+  /// once close() has been called. Senders size the bytes they generate
+  /// by it, so nothing is made only to be refused.
+  virtual size_t send_space() const = 0;
+
   /// Reads up to out.size() in-order bytes; returns bytes read.
   virtual size_t read(std::span<uint8_t> out) = 0;
 
