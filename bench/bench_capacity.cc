@@ -73,6 +73,7 @@ struct ScaleResult {
   double fct_p50_us = 0;
   double fct_p99_us = 0;
   double errors = 0;
+  double integrity_errors = 0;
 };
 
 TransportConfig capacity_transport(size_t meta_buf, size_t tcp_buf,
@@ -134,6 +135,8 @@ ScaleResult run_scale(const ScaleSpec& spec, uint64_t seed) {
   out.fct_p50_us = topo.stats().value("workload.churn.fct_p50_us");
   out.fct_p99_us = topo.stats().value("workload.churn.fct_p99_us");
   out.errors = static_cast<double>(engine.errors(0) + engine.errors(1));
+  out.integrity_errors =
+      static_cast<double>(engine.payload_check().integrity_errors);
 
   std::printf("# %s: %zu clients x %zu persistent + %.0f/s churn, "
               "2 x %.0f Mbps bottlenecks, %.1f s\n",
@@ -145,7 +148,8 @@ ScaleResult run_scale(const ScaleSpec& spec, uint64_t seed) {
   std::printf("%-24s %12.1f\n", "goodput_mbps", out.goodput_mbps);
   std::printf("%-24s %12.0f\n", "fct_p50_us", out.fct_p50_us);
   std::printf("%-24s %12.0f\n", "fct_p99_us", out.fct_p99_us);
-  std::printf("%-24s %12.0f\n\n", "errors", out.errors);
+  std::printf("%-24s %12.0f\n", "errors", out.errors);
+  std::printf("%-24s %12.0f\n\n", "integrity_errors", out.integrity_errors);
   return out;
 }
 
@@ -156,6 +160,7 @@ void append_fields(std::vector<std::pair<std::string, double>>& fields,
   fields.emplace_back(prefix + "goodput_mbps", r.goodput_mbps);
   fields.emplace_back(prefix + "fct_p50_us", r.fct_p50_us);
   fields.emplace_back(prefix + "fct_p99_us", r.fct_p99_us);
+  fields.emplace_back(prefix + "integrity_errors", r.integrity_errors);
 }
 
 // ---------------------------------------------------------------------------
@@ -189,6 +194,7 @@ struct ServingResult {
   double fct_p99_us = 0;
   double fct_p999_us = 0;
   double goodput_mbps = 0;
+  double integrity_errors = 0;
 };
 
 FlowClass serving_class(double request_hz, size_t max_inflight,
@@ -240,6 +246,8 @@ ServingResult run_serving(const ServingSpec& spec, uint64_t seed) {
   }
   out.goodput_mbps = static_cast<double>(engine.bytes_received(0)) * 8.0 /
                      to_seconds(spec.duration) / 1e6;
+  out.integrity_errors =
+      static_cast<double>(engine.payload_check().integrity_errors);
 
   std::printf("# %s: %zu clients x %.0f req/s pooled requests, "
               "%zu servers, %.0f Mbps bottlenecks, %.1f s\n",
@@ -250,7 +258,8 @@ ServingResult run_serving(const ServingSpec& spec, uint64_t seed) {
   std::printf("%-24s %12.0f\n", "fct_p50_us", out.fct_p50_us);
   std::printf("%-24s %12.0f\n", "fct_p99_us", out.fct_p99_us);
   std::printf("%-24s %12.0f\n", "fct_p999_us", out.fct_p999_us);
-  std::printf("%-24s %12.1f\n\n", "goodput_mbps", out.goodput_mbps);
+  std::printf("%-24s %12.1f\n", "goodput_mbps", out.goodput_mbps);
+  std::printf("%-24s %12.0f\n\n", "integrity_errors", out.integrity_errors);
   return out;
 }
 
@@ -263,6 +272,7 @@ void append_serving_fields(
   fields.emplace_back(prefix + "fct_p99_us", r.fct_p99_us);
   fields.emplace_back(prefix + "fct_p999_us", r.fct_p999_us);
   fields.emplace_back(prefix + "goodput_mbps", r.goodput_mbps);
+  fields.emplace_back(prefix + "integrity_errors", r.integrity_errors);
 }
 
 /// Flash crowd: steady serving load, then a x10 request-rate step against

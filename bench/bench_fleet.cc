@@ -108,6 +108,8 @@ FleetRun run_fleet(const FleetSpec& spec, const char* name) {
               (unsigned long long)out.m.fct_p50_us);
   std::printf("%-26s %12llu\n", "fct_p99_us",
               (unsigned long long)out.m.fct_p99_us);
+  std::printf("%-26s %12llu\n", "integrity_errors",
+              (unsigned long long)out.m.payload_check.integrity_errors);
   std::printf("%-26s %12.2f\n\n", "wall_seconds", out.wall_seconds);
   return out;
 }
@@ -138,6 +140,8 @@ void append_fields(std::vector<std::pair<std::string, double>>& fields,
                       static_cast<double>(r.m.fct_p50_us));
   fields.emplace_back(prefix + "fct_p99_us",
                       static_cast<double>(r.m.fct_p99_us));
+  fields.emplace_back(prefix + "integrity_errors",
+                      static_cast<double>(r.m.payload_check.integrity_errors));
 }
 
 /// The monotone-fallback self-check: sweep option-stripper prevalence

@@ -14,9 +14,10 @@ and bench_capacity write). Gating is direction-aware:
     barrier_wait_ns_p50) are wall-clock costs too: lower-is-better,
     gated with the wide seconds tolerance;
   * deterministic lower-is-better counters (epochs_per_run and keys
-    ending in "_spills_total") rise-fail at baseline * (1 + tolerance);
-    a zero baseline gates exactly -- any nonzero value fails, since the
-    whole point of a zero-spill baseline is staying at zero;
+    ending in "_spills_total" or "_integrity_errors") rise-fail at
+    baseline * (1 + tolerance); a zero baseline gates exactly -- any
+    nonzero value fails, since the whole point of a zero-spill or
+    zero-corruption baseline is staying at zero;
   * tail-latency SLO metrics (any key containing "_p99", "_p999" or
     "_reject") are lower-is-better and ARE gated, with the wide seconds
     tolerance -- these are the serving stack's promise and take
@@ -68,7 +69,8 @@ def is_seconds(key: str) -> bool:
 def is_lower_count(key: str) -> bool:
     """Deterministic lower-is-better counters (virtual-schedule
     quantities, not wall-clock): gated with the plain tolerance."""
-    return key == "epochs_per_run" or key.endswith("_spills_total")
+    return key == "epochs_per_run" or key.endswith(
+        ("_spills_total", "_integrity_errors"))
 
 
 def gated(key: str) -> bool:

@@ -1,5 +1,6 @@
 #include "net/payload.h"
 
+#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <new>
@@ -7,9 +8,10 @@
 
 #include "net/checksum.h"
 
-// The pool hides use-after-free from AddressSanitizer (a recycled block is
-// live memory), so compile it out under ASan and let every allocation hit
-// the instrumented heap.
+// Recycling hides use-after-free from AddressSanitizer (a recycled block
+// is live memory), so compile the free lists out under ASan and let every
+// allocation hit the instrumented heap. The size classes stay, so block
+// packing (extend_in_place) runs under the sanitizers too.
 #if defined(__SANITIZE_ADDRESS__)
 #define MPTCP_PAYLOAD_POOL 0
 #elif defined(__has_feature)
@@ -27,9 +29,16 @@ namespace {
 
 // The two allocation sizes that dominate capacity-scale runs: MSS-sized
 // carves off the send buffer (1460 and change) and the 16 KiB chunks apps
-// write. Everything else goes straight to the heap.
+// write. Everything else gets exactly the bytes it asks for.
 constexpr size_t kSmallCap = 2048;
 constexpr size_t kLargeCap = 16384;
+
+size_t size_class(size_t n) {
+  if (n <= kSmallCap) return kSmallCap;
+  if (n <= kLargeCap) return kLargeCap;
+  return n;
+}
+
 // Free-list depth limits: enough to absorb steady-state churn without
 // letting a transient burst pin memory forever.
 constexpr size_t kSmallMax = 8192;
@@ -52,38 +61,41 @@ struct Pool {
 
 thread_local Pool g_pool;
 
+// Live-block accounting is process-wide: a block may die on another
+// thread than the one that allocated it (ShardChannel's detached copies).
+std::atomic<uint64_t> g_live_blocks{0};
+std::atomic<uint64_t> g_live_bytes{0};
+
 }  // namespace
 
 Payload::Buf* Payload::alloc_buf(size_t n) {
-  size_t cap = n;
+  const size_t cap = size_class(n);
+  ++g_live_blocks;
+  g_live_bytes += cap;
+  Buf* b = nullptr;
 #if MPTCP_PAYLOAD_POOL
-  std::vector<void*>* list = nullptr;
-  if (n <= kSmallCap) {
-    cap = kSmallCap;
-    list = &g_pool.free_small;
-  } else if (n <= kLargeCap) {
-    cap = kLargeCap;
-    list = &g_pool.free_large;
-  }
-  if (list != nullptr) {
-    if (!list->empty()) {
+  if (cap <= kLargeCap) {
+    std::vector<void*>& list =
+        cap == kSmallCap ? g_pool.free_small : g_pool.free_large;
+    if (!list.empty()) {
       ++g_pool.stats.hits;
-      Buf* b = static_cast<Buf*>(list->back());
-      list->pop_back();
-      b->refs = 1;
-      b->cap = static_cast<uint32_t>(cap);
-      return b;
+      b = static_cast<Buf*>(list.back());
+      list.pop_back();
+    } else {
+      ++g_pool.stats.misses;
     }
-    ++g_pool.stats.misses;
   }
 #endif
-  Buf* b = static_cast<Buf*>(::operator new(sizeof(Buf) + cap));
+  if (b == nullptr) b = static_cast<Buf*>(::operator new(sizeof(Buf) + cap));
   b->refs = 1;
   b->cap = static_cast<uint32_t>(cap);
+  b->used = static_cast<uint32_t>(n);
   return b;
 }
 
 void Payload::free_buf(Buf* b) {
+  --g_live_blocks;
+  g_live_bytes -= b->cap;
 #if MPTCP_PAYLOAD_POOL
   if (b->cap == kSmallCap && g_pool.free_small.size() < kSmallMax) {
     g_pool.free_small.push_back(b);
@@ -105,6 +117,10 @@ void Payload::pool_reset() {
   g_pool.free_small.clear();
   g_pool.free_large.clear();
   g_pool.stats = PoolStats{};
+}
+
+Payload::LiveStats Payload::live_stats() {
+  return {g_live_blocks.load(), g_live_bytes.load()};
 }
 
 void Payload::assign(size_t n, uint8_t value) {
@@ -175,6 +191,19 @@ void Payload::append(std::span<const uint8_t> more) {
   off_ = 0;
   len_ += more.size();
   sum_valid_ = false;
+}
+
+bool Payload::extend_in_place(std::span<const uint8_t> more) {
+  if (more.empty()) return true;
+  if (buf_ == nullptr || off_ + len_ != buf_->used ||
+      buf_->cap - buf_->used < more.size()) {
+    return false;
+  }
+  std::memcpy(buf_->bytes() + buf_->used, more.data(), more.size());
+  buf_->used += static_cast<uint32_t>(more.size());
+  len_ += more.size();
+  sum_valid_ = false;
+  return true;
 }
 
 Payload Payload::concat(std::span<const Payload> parts) {

@@ -125,6 +125,17 @@ class Payload {
   void append(std::span<const uint8_t> more);
   void append(const Payload& more) { append(more.span()); }
 
+  /// Block packing: copies `more` into the block's unwritten room right
+  /// behind this view and grows the view over it, without allocating.
+  /// Succeeds only if the view ends exactly at the block's high-water
+  /// mark (see Buf::used) and the room holds all of `more`; otherwise
+  /// returns false and changes nothing. Appending nothing always
+  /// succeeds. Safe on a shared block: every view lies below the mark
+  /// and the copy lands at or above it, so no byte another view can read
+  /// changes; and the first extension moves the mark past every other
+  /// view's end, so no second view can extend into the same room.
+  bool extend_in_place(std::span<const uint8_t> more);
+
   /// Concatenates `parts` into one view. A single part is returned as a
   /// shared view (zero-copy, the common case for a one-fragment DSS
   /// mapping); multiple parts are gathered with one allocation and one
@@ -147,16 +158,20 @@ class Payload {
     return buf_ != nullptr && buf_ == o.buf_;
   }
   uint32_t buffer_refs() const { return buf_ != nullptr ? buf_->refs : 0; }
-  /// Usable capacity of the backing allocation (>= size() + offset; pooled
-  /// blocks round up to their size class).
+  /// Usable capacity of the backing allocation (>= size() + offset; the
+  /// two hot sizes round up to their size class).
   size_t buffer_capacity() const { return buf_ != nullptr ? buf_->cap : 0; }
+  /// The backing block's high-water mark: bytes ever written into it.
+  size_t buffer_used() const { return buf_ != nullptr ? buf_->used : 0; }
 
   // --- block pool ----------------------------------------------------------
-  // alloc_buf() recycles freed blocks of the two hot allocation sizes
-  // (MSS-sized carves and app-write/16 KiB chunks) through thread-local
-  // free lists, so capacity-scale workloads stop hammering the allocator
-  // and shard worker threads never contend. Disabled under
-  // AddressSanitizer so lifetime bugs stay visible.
+  // alloc_buf() rounds the two hot allocation sizes (MSS-sized carves and
+  // app-write/16 KiB chunks) up to a size class, which leaves room for
+  // extend_in_place() to pack later writes into. Freed blocks of those
+  // classes are recycled through thread-local free lists, so
+  // capacity-scale workloads stop hammering the allocator and shard
+  // worker threads never contend. The recycling (not the rounding) is
+  // compiled out under AddressSanitizer so lifetime bugs stay visible.
   struct PoolStats {
     uint64_t hits = 0;    ///< allocations served from a free list
     uint64_t misses = 0;  ///< poolable sizes that went to the heap
@@ -167,21 +182,38 @@ class Payload {
   /// cold allocator and exports per-run pool stats deterministically.
   static void pool_reset();
 
+  struct LiveStats {
+    uint64_t blocks = 0;  ///< allocated and not yet freed
+    uint64_t bytes = 0;   ///< their usable capacity
+  };
+  /// Blocks referenced by some view right now (free-listed ones are not
+  /// live). Process-wide, unlike PoolStats: a segment handed to another
+  /// shard is copied into a block on the sender's thread and freed on
+  /// the receiver's.
+  static LiveStats live_stats();
+
   bool operator==(const Payload& o) const;
   bool operator!=(const Payload& o) const { return !(*this == o); }
 
  private:
   /// Refcounted header immediately followed by the bytes themselves
-  /// (single allocation). Non-atomic: single-threaded simulator.
-  struct Buf {
+  /// (single allocation). Non-atomic: single-threaded simulator. 16 bytes,
+  /// so the payload bytes keep operator new's 16-byte alignment.
+  struct alignas(16) Buf {
     uint32_t refs;
-    uint32_t cap;  ///< usable byte capacity (pool size class or exact size)
+    uint32_t cap;   ///< usable byte capacity (size class or exact size)
+    /// High-water mark: bytes [0, used) have been written. Every view of
+    /// the block lies below it; only extend_in_place() raises it.
+    uint32_t used;
     uint8_t* bytes() { return reinterpret_cast<uint8_t*>(this + 1); }
     const uint8_t* bytes() const {
       return reinterpret_cast<const uint8_t*>(this + 1);
     }
   };
 
+  static_assert(sizeof(Buf) == 16);
+
+  /// A block whose first `n` bytes the caller fills right away.
   static Buf* alloc_buf(size_t n);
   static void free_buf(Buf* b);
   void release() {

@@ -19,6 +19,19 @@ EventLoop::EventLoop() {
   stats_.sampled("payload.pool.misses", [] {
     return static_cast<double>(Payload::pool_stats().misses);
   });
+  // Blocks referenced right now and their usable capacity. Set against
+  // the bytes the buffers hold (mptcp.*.snd_mem_bytes/rcv_mem_bytes), the
+  // gap is capacity no buffered byte uses: unwritten block room (what
+  // Payload::extend_in_place packs into) and bytes that only in-flight
+  // segments or reassembly queues still reference. Like hits/misses,
+  // every shard of a sharded run samples the same value, so a merged
+  // export counts it once per shard.
+  stats_.sampled("payload.pool.live_blocks", [] {
+    return static_cast<double>(Payload::live_stats().blocks);
+  });
+  stats_.sampled("payload.pool.live_bytes", [] {
+    return static_cast<double>(Payload::live_stats().bytes);
+  });
   stats_.sampled("sim.events_scheduled",
                  [this] { return static_cast<double>(ev_scheduled_); });
   stats_.sampled("sim.events_cancelled",

@@ -1,23 +1,72 @@
 // Send-side and receive-side data structures, 64-bit sequence based.
 //
 // Both sides store refcounted Payload chunks rather than flat byte
-// arrays: the send buffer keeps each application write (or each mapped
-// chunk pushed down by the MPTCP meta level) as one shared chunk, so
-// carving an MSS-sized segment -- including every retransmission of it --
-// is a zero-copy subview; the reassembly queue likewise holds the
-// segment payloads it was handed without duplicating them.
+// arrays: the send buffer packs application writes into shared chunks
+// (and keeps each mapped chunk pushed down by the MPTCP meta level as
+// one), so carving an MSS-sized segment -- including every
+// retransmission of it -- is a zero-copy subview; the reassembly queue
+// likewise holds the segment payloads it was handed without duplicating
+// them.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/payload.h"
 
 namespace mptcp {
+
+/// FIFO queue that allocates nothing until its first push: a vector plus
+/// a head index. pop_front() releases the popped element at once and
+/// compacts the consumed prefix away once it reaches half the vector, so
+/// a pop is O(1) amortised. Iterators are random access (binary search
+/// over the live elements). Every connection owns a few of these, and
+/// most sit empty for most of their life; std::deque would allocate its
+/// map and a first node in the constructor.
+template <typename T>
+class Fifo {
+ public:
+  using const_iterator = typename std::vector<T>::const_iterator;
+
+  bool empty() const { return head_ == items_.size(); }
+  size_t size() const { return items_.size() - head_; }
+  T& front() { return items_[head_]; }
+  T& back() { return items_.back(); }
+  const_iterator begin() const {
+    return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
+  const_iterator end() const { return items_.end(); }
+
+  void push_back(T v) { items_.push_back(std::move(v)); }
+
+  void pop_front() {
+    items_[head_++] = T{};
+    if (head_ == items_.size()) {
+      items_.clear();  // keeps the capacity for the next burst
+      head_ = 0;
+    } else if (2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+  /// Drops every element and returns the storage.
+  void clear() {
+    std::vector<T>().swap(items_);
+    head_ = 0;
+  }
+
+ private:
+  std::vector<T> items_;
+  size_t head_ = 0;  ///< items_[0, head_) are popped (and released)
+};
 
 /// Byte buffer anchored at an (unwrapped) sequence number. Holds
 /// [base_seq, end_seq): data written by the application but not yet
@@ -33,13 +82,20 @@ class SendBuffer {
   }
 
   /// Appends up to `capacity - size()` bytes; returns bytes accepted.
-  /// The accepted bytes are copied once into a fresh chunk (the
-  /// application keeps ownership of its span).
+  /// The accepted bytes are copied once (the application keeps ownership
+  /// of its span): into the last chunk's block if they fit in its room
+  /// (Payload::extend_in_place), else into a fresh chunk. Packing changes
+  /// only where the bytes live, never which bytes a slice_out() returns.
   size_t append(std::span<const uint8_t> bytes, size_t capacity) {
     const size_t space = capacity > size_ ? capacity - size_ : 0;
     const size_t n = std::min(space, bytes.size());
     if (n == 0) return 0;
-    push_chunk(Payload(bytes.first(n)));
+    if (!chunks_.empty() && chunks_.back().bytes.extend_in_place(
+                                bytes.first(n))) {
+      size_ += n;
+    } else {
+      push_chunk(Payload(bytes.first(n)));
+    }
     return n;
   }
 
@@ -58,8 +114,8 @@ class SendBuffer {
 
   /// Returns `len` bytes starting at sequence `seq` as a shared view.
   /// Zero-copy when the range lies within one stored chunk (the common
-  /// case: segments never straddle an application write or an MPTCP
-  /// mapping); assembles a fresh buffer otherwise. The range must be
+  /// case: packed writes share a chunk, and segments never straddle an
+  /// MPTCP mapping); assembles a fresh buffer otherwise. The range must be
   /// within [base_seq, end_seq).
   Payload slice_out(uint64_t seq, size_t len) const;
 
@@ -85,7 +141,7 @@ class SendBuffer {
     chunks_.push_back(Chunk{start, std::move(bytes)});
   }
 
-  using ChunkIter = std::deque<Chunk>::const_iterator;
+  using ChunkIter = Fifo<Chunk>::const_iterator;
 
   /// The chunk containing `seq` (binary search; chunks are sorted and
   /// contiguous).
@@ -93,10 +149,10 @@ class SendBuffer {
 
   uint64_t base_seq_;
   size_t size_ = 0;
-  std::deque<Chunk> chunks_;  ///< contiguous, sorted by start
+  Fifo<Chunk> chunks_;  ///< contiguous, sorted by start
 };
 
-/// In-order receive queue between reassembly and the application: a deque
+/// In-order receive queue between reassembly and the application: a FIFO
 /// of delivered Payload views. read() copies into the caller's span and
 /// advances by trimming view prefixes -- O(bytes read), never a memmove of
 /// what stays buffered. peek_views()/consume() expose the same bytes as a
@@ -138,7 +194,7 @@ class RecvQueue {
   }
 
  private:
-  std::deque<Payload> chunks_;
+  Fifo<Payload> chunks_;
   size_t bytes_ = 0;
 };
 

@@ -135,6 +135,19 @@ class CheckBenchTest(unittest.TestCase):
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("REGRESSION", r.stdout)
 
+    def test_zero_integrity_baseline_gates_exactly_at_zero(self):
+        base = self.write("base.json", {"smoke_integrity_errors": 0.0,
+                                        "smoke_goodput_mbps": 800.0})
+        clean = self.write("clean.json", {"smoke_integrity_errors": 0.0,
+                                          "smoke_goodput_mbps": 800.0})
+        r = run_check(base, clean)
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        corrupt = self.write("corrupt.json", {"smoke_integrity_errors": 1.0,
+                                              "smoke_goodput_mbps": 800.0})
+        r = run_check(base, corrupt)
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("REGRESSION", r.stdout)
+
     def test_us_latency_keys_are_never_gated(self):
         base = self.write("base.json",
                           {"events_per_sec": 1e6, "completion_us": 100.0})
