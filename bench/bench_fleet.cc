@@ -10,7 +10,8 @@
 //   * the fallback rate is monotone in option-stripper prevalence and
 //     exactly zero at zero prevalence (the paper's deployability story:
 //     fallback happens iff a middlebox interferes);
-//   * island placement is balanced across shards (shard_for_token).
+//   * island placement, ScenarioSpec::shard_for(prefix + "client"), is
+//     balanced across shards.
 //
 // --smoke is the CI gate: a reduced fleet whose smoke_* keys
 // bench/check_bench.py compares against the tracked BENCH_fleet.json

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/mptcp_connection.h"
-#include "sim/placement.h"
 #include "sim/shard.h"
 
 namespace mptcp {
@@ -131,22 +130,6 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
     fc.server.service.mean = kMillisecond;
   }
 
-  // kGreedy placement: islands are independent units (no cross-island
-  // links), so the partitioner degenerates to deterministic weighted
-  // balancing -- weight 1 + path count approximates an island's event
-  // load. Computed up front from the profiles alone, so placement stays
-  // a pure function of (seed, knobs) like everything else here.
-  std::vector<size_t> greedy_shard;
-  if (spec_.placement == FleetSpec::Placement::kGreedy) {
-    PlacementGraph pg;
-    pg.shards = spec_.shards;
-    pg.weights.reserve(profiles_.size());
-    for (const ClientProfile& p : profiles_) {
-      pg.weights.push_back(1.0 + static_cast<double>(p.paths.size()));
-    }
-    greedy_shard = greedy_edge_cut(pg).shard_of;
-  }
-
   islands_.reserve(profiles_.size());
   for (const ClientProfile& p : profiles_) {
     const std::string prefix = island_prefix(p.index);
@@ -171,14 +154,9 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
       ps.down = ps.up;
       paths.push_back(std::move(ps));
     }
-    // kTokenHash pins the whole island to shard_for_token(prefix +
-    // "client") -- client placement rides the topology's stable token
-    // hash, so placement is deterministic and shard-count-local.
-    // kGreedy pins it to the partitioner's balanced assignment instead.
-    const size_t shard =
-        spec_.placement == FleetSpec::Placement::kGreedy
-            ? greedy_shard[islands_.size()]
-            : scn.shard_for(prefix + "client");
+    // The whole island rides the stable token hash of its client name,
+    // so placement is deterministic and shard-count-local.
+    const size_t shard = scn.shard_for(prefix + "client");
     isl.shape = declare_two_host(scn, paths, prefix, shard);
     isl.shard = shard;
 

@@ -19,9 +19,9 @@
 // Determinism contract: sample_fleet() depends only on the seed and the
 // distribution knobs -- NEVER on the shard count -- via per-client PRNG
 // streams in fixed client-index order. Every island is pinned whole to
-// one shard (ScenarioSpec::kAutoShard, i.e. shard_for_token on the
-// island prefix), so islands never exchange packets across shards and
-// the per-island packet streams are bit-identical for any shard count;
+// one shard, ScenarioSpec::shard_for(prefix + "client"), so islands
+// never exchange packets across shards and the per-island packet
+// streams are bit-identical for any shard count;
 // `sim_digest --scenario fleet` folds per-island tap hashes in island
 // order and must produce the same digest for --shards 1/2/4.
 #pragma once
@@ -77,15 +77,6 @@ struct FleetSpec {
   /// use kRedundant, whose per-subflow cursors make state-hygiene
   /// violations observable across address churn).
   SchedulerPolicy scheduler = SchedulerPolicy::kLowestRtt;
-
-  /// Island-to-shard policy. kTokenHash pins each island by
-  /// shard_for_token(prefix + "client") -- stable across fleet sizes and
-  /// the policy behind the pinned fleet digest. kGreedy feeds the
-  /// islands (weight 1 + path count, no edges: islands never talk) to
-  /// the greedy partitioner (sim/placement.h), trading token stability
-  /// for tight weight balance on skewed path-count mixes.
-  enum class Placement : uint8_t { kTokenHash, kGreedy };
-  Placement placement = Placement::kTokenHash;
 
   /// Per-client workload (one class per island).
   double arrival_rate_hz = 2.0;

@@ -35,6 +35,7 @@
 #include <cassert>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/harness.h"
@@ -42,7 +43,6 @@
 #include "middlebox/nat.h"
 #include "middlebox/option_stripper.h"
 #include "middlebox/payload_modifier.h"
-#include "sim/placement.h"
 #include "sim/topology.h"
 
 namespace mptcp {
@@ -54,7 +54,6 @@ struct MiddleboxDecl {
   enum class Kind : uint8_t {
     kOptionStripper,   ///< one-directional, middlebox/option_stripper.h
     kPayloadModifier,  ///< one-directional DSS-checksum-corrupting ALG
-    kHoleDropper,      ///< one-directional hole-refusing proxy
     kNat,              ///< duplex, middlebox/nat.h
   };
 
@@ -89,22 +88,12 @@ struct MiddleboxDecl {
     d.modify_interval = interval;
     return d;
   }
-  static MiddleboxDecl hole_dropper() {
-    MiddleboxDecl d;
-    d.kind = Kind::kHoleDropper;
-    return d;
-  }
 };
 
 class Scenario;
 
 class ScenarioSpec {
  public:
-  /// Shard sentinel: pin the node by shard_for_token(name) at build time
-  /// instead of an explicit shard (population builders use this to spread
-  /// islands without coordinating).
-  static constexpr size_t kAutoShard = static_cast<size_t>(-1);
-
   ScenarioSpec& seed(uint64_t s) {
     seed_ = s;
     return *this;
@@ -116,15 +105,16 @@ class ScenarioSpec {
   uint64_t seed() const { return seed_; }
   size_t shard_count() const { return shards_; }
 
-  /// Stable token -> shard pinning, identical to
-  /// Topology::shard_for_token for this spec's shard count. Available at
+  /// Stable token -> shard pinning (FNV-1a mod this spec's shard count),
+  /// the one name hash for spreading nodes across shards. Available at
   /// declaration time so a group of related nodes ("f3.client",
   /// "f3.gw", ...) can be pinned to one shard derived from a shared
   /// token.
   size_t shard_for(std::string_view token) const;
 
-  /// Declares a host/router. Ids are assigned in declaration order and are
-  /// identical to the built Topology's NodeIds.
+  /// Declares a host/router pinned to `shard`, the one way to place a
+  /// node. Ids are assigned in declaration order and are identical to the
+  /// built Topology's NodeIds.
   NodeId host(std::string name, size_t shard = 0);
   NodeId router(std::string name, size_t shard = 0);
 
@@ -149,22 +139,6 @@ class ScenarioSpec {
   /// Declares a workload group; the built Scenario owns one WorkloadEngine
   /// per group, in declaration order.
   size_t workload(WorkloadConfig wc);
-
-  /// Reassigns every declared node's shard with the greedy edge-cut
-  /// partitioner (sim/placement.h), the quality-aware alternative to
-  /// per-node pinning or shard_for() hashing: declared links become
-  /// affinity edges, hosts weigh 1.0 and routers 0.25, and any link with
-  /// a zero-propagation-delay direction welds its endpoints into one
-  /// unit (cross-shard links need positive delay -- it is the engine's
-  /// lookahead). Call after declaring all nodes and links, before
-  /// build(); build() then exports `placement.cut_edges` and
-  /// `placement.imbalance_permille` gauges on shard 0. Deterministic:
-  /// the same declarations always place the same way.
-  const PlacementResult& auto_place();
-  /// The last auto_place() result, or nullptr if never called.
-  const PlacementResult* placement() const {
-    return placed_ ? &placement_ : nullptr;
-  }
 
   /// Replays the declarations onto a fresh Topology, instantiates and
   /// splices middleboxes, computes routes (plus NAT public-address
@@ -198,8 +172,6 @@ class ScenarioSpec {
   std::vector<LinkDecl> links_;
   std::vector<MboxDecl> mboxes_;
   std::vector<WorkloadConfig> workloads_;
-  PlacementResult placement_;
-  bool placed_ = false;
 };
 
 /// A built scenario: the Topology plus everything the spec declared on
@@ -219,7 +191,6 @@ class Scenario {
   PayloadModifier* payload_modifier(size_t h) {
     return mboxes_[h].modifier.get();
   }
-  HoleDropper* hole_dropper(size_t h) { return mboxes_[h].dropper.get(); }
   Nat* nat(size_t h) { return mboxes_[h].nat.get(); }
 
   // --- workload groups -----------------------------------------------------
@@ -252,7 +223,6 @@ class Scenario {
   struct MboxInstance {
     std::unique_ptr<OptionStripper> stripper;
     std::unique_ptr<PayloadModifier> modifier;
-    std::unique_ptr<HoleDropper> dropper;
     std::unique_ptr<Nat> nat;
   };
 
@@ -276,8 +246,7 @@ struct TwoHostShape {
 };
 
 /// Declares the shape above. `prefix` namespaces the node names (islands
-/// in a population use "f<i>."), `shard` pins every node of the shape
-/// (ScenarioSpec::kAutoShard derives it from the prefixed client name).
+/// in a population use "f<i>."), `shard` pins every node of the shape.
 TwoHostShape declare_two_host(ScenarioSpec& spec,
                               const std::vector<PathSpec>& paths,
                               const std::string& prefix = "",

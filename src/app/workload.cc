@@ -13,22 +13,16 @@ namespace {
 /// outlast any simulated run (2 TB).
 constexpr uint64_t kPersistentBytes = 1ULL << 41;
 
-}  // namespace
-
-CapacityTopology build_capacity_topology(const CapacitySpec& spec,
-                                         uint64_t seed) {
-  // Declared through ScenarioSpec, which replays the declarations in
-  // order -- node ids, link indices and loss seeds are exactly what the
-  // historical imperative construction produced, so the capacity
-  // determinism digests stay pinned.
-  CapacityTopology out;
-  ScenarioSpec scn;
-  scn.seed(seed);
-
-  out.agg_a = scn.router("agg-a");
-  out.agg_b = scn.router("agg-b");
-  out.core = scn.router("core");
-
+/// Declares one capacity cell (workload.h) on `scn`, every node pinned to
+/// `shard` and named `prefix` + its role: routers agg-a, agg-b and core,
+/// the dual-homed clients, bottleneck-a and bottleneck-b, then the
+/// servers. ScenarioSpec replays declarations in order, so this order
+/// fixes the node ids, link indices and loss seeds that the capacity
+/// determinism digests pin.
+ShardedCapacity::Cell declare_capacity_cell(ScenarioSpec& scn,
+                                            const CapacitySpec& spec,
+                                            const std::string& prefix,
+                                            size_t shard) {
   LinkConfig access;
   access.rate_bps = spec.access_rate_bps;
   access.prop_delay = spec.access_delay;
@@ -44,21 +38,43 @@ CapacityTopology build_capacity_topology(const CapacitySpec& spec,
                                    spec.bottleneck_buffer_delay),
       3000);
 
+  ShardedCapacity::Cell cell;
+  cell.agg_a = scn.router(prefix + "agg-a", shard);
+  cell.agg_b = scn.router(prefix + "agg-b", shard);
+  cell.core = scn.router(prefix + "core", shard);
   for (size_t i = 0; i < spec.clients; ++i) {
-    const NodeId c = scn.host("client" + std::to_string(i));
-    scn.link(c, out.agg_a, access, access);
-    scn.link(c, out.agg_b, access, access);
-    out.clients.push_back(c);
+    const NodeId c = scn.host(prefix + "client" + std::to_string(i), shard);
+    scn.link(c, cell.agg_a, access, access);
+    scn.link(c, cell.agg_b, access, access);
+    cell.clients.push_back(c);
   }
-  out.bottleneck_a =
-      scn.link(out.agg_a, out.core, bottleneck, bottleneck, "bottleneck-a");
-  out.bottleneck_b =
-      scn.link(out.agg_b, out.core, bottleneck, bottleneck, "bottleneck-b");
-  for (size_t j = 0; j < spec.servers; ++j) {
-    const NodeId s = scn.host("server" + std::to_string(j));
-    scn.link(out.core, s, access, access);
-    out.servers.push_back(s);
+  cell.bottleneck_a = scn.link(cell.agg_a, cell.core, bottleneck, bottleneck,
+                               prefix + "bottleneck-a");
+  cell.bottleneck_b = scn.link(cell.agg_b, cell.core, bottleneck, bottleneck,
+                               prefix + "bottleneck-b");
+  for (size_t i = 0; i < spec.servers; ++i) {
+    const NodeId s = scn.host(prefix + "server" + std::to_string(i), shard);
+    scn.link(cell.core, s, access, access);
+    cell.servers.push_back(s);
   }
+  return cell;
+}
+
+}  // namespace
+
+CapacityTopology build_capacity_topology(const CapacitySpec& spec,
+                                         uint64_t seed) {
+  ScenarioSpec scn;
+  scn.seed(seed);
+  ShardedCapacity::Cell cell = declare_capacity_cell(scn, spec, "", 0);
+  CapacityTopology out;
+  out.clients = std::move(cell.clients);
+  out.servers = std::move(cell.servers);
+  out.agg_a = cell.agg_a;
+  out.agg_b = cell.agg_b;
+  out.core = cell.core;
+  out.bottleneck_a = cell.bottleneck_a;
+  out.bottleneck_b = cell.bottleneck_b;
   out.topo = scn.build().take_topology();
   return out;
 }
@@ -315,16 +331,10 @@ void WorkloadEngine::launch(ClientSlot& slot, bool persistent) {
   const Endpoint remote{saddrs[slot.next_server % saddrs.size()],
                         static_cast<Port>(cfg_.base_port + slot.cls)};
 
-  // First-subflow source address: round-robin over the class's path set.
+  // First-subflow source address: round-robin over the client's
+  // interfaces.
   const auto& laddrs = topo_.addrs(slot.node);
-  IpAddr local;
-  if (spec.local_addr_set.empty()) {
-    local = laddrs[slot.next_local % laddrs.size()];
-  } else {
-    local = laddrs[spec.local_addr_set[slot.next_local %
-                                       spec.local_addr_set.size()] %
-                   laddrs.size()];
-  }
+  const IpAddr local = laddrs[slot.next_local % laddrs.size()];
   ++slot.next_local;
 
   auto flow = std::make_unique<Flow>();
@@ -435,13 +445,7 @@ void WorkloadEngine::start_serving_slot(ClientSlot& slot, uint64_t gid) {
   const Endpoint remote{saddrs[gid % saddrs.size()],
                         static_cast<Port>(cfg_.base_port + slot.cls)};
   const auto& laddrs = topo_.addrs(slot.node);
-  IpAddr local;
-  if (spec.local_addr_set.empty()) {
-    local = laddrs[gid % laddrs.size()];
-  } else {
-    local = laddrs[spec.local_addr_set[gid % spec.local_addr_set.size()] %
-                   laddrs.size()];
-  }
+  const IpAddr local = laddrs[gid % laddrs.size()];
 
   slot.pool = std::make_unique<ConnectionPool>(*slot.factory, local, remote,
                                                spec.pool);
@@ -583,63 +587,28 @@ uint64_t WorkloadEngine::total_completed() const {
 ShardedCapacity build_sharded_capacity(const ShardedCapacitySpec& spec,
                                        uint64_t seed, size_t shards) {
   if (shards == 0) shards = 1;
-  // Same ScenarioSpec replay property as build_capacity_topology: digests
-  // are pinned because declaration order equals construction order.
   ShardedCapacity out;
   ScenarioSpec scn;
   scn.seed(seed).shards(shards);
-
-  LinkConfig access;
-  access.rate_bps = spec.cell.access_rate_bps;
-  access.prop_delay = spec.cell.access_delay;
-  access.buffer_bytes = std::max<size_t>(
-      LinkConfig::buffer_for_delay(spec.cell.access_rate_bps,
-                                   5 * kMillisecond),
-      3000);
-
-  LinkConfig bottleneck;
-  bottleneck.rate_bps = spec.cell.bottleneck_rate_bps;
-  bottleneck.prop_delay = spec.cell.bottleneck_delay;
-  bottleneck.buffer_bytes = std::max<size_t>(
-      LinkConfig::buffer_for_delay(spec.cell.bottleneck_rate_bps,
-                                   spec.cell.bottleneck_buffer_delay),
-      3000);
 
   // Construction order (cells, then the ring) fixes every link index and
   // loss seed independently of the shard count: only node->shard pinning
   // changes with `shards`, never the graph.
   for (size_t j = 0; j < spec.cells; ++j) {
-    const size_t shard = j % shards;
-    const std::string p = "c" + std::to_string(j) + ".";
-    ShardedCapacity::Cell cell;
-    cell.agg_a = scn.router(p + "agg-a", shard);
-    cell.agg_b = scn.router(p + "agg-b", shard);
-    cell.core = scn.router(p + "core", shard);
-    for (size_t i = 0; i < spec.cell.clients; ++i) {
-      const NodeId c = scn.host(p + "client" + std::to_string(i), shard);
-      scn.link(c, cell.agg_a, access, access);
-      scn.link(c, cell.agg_b, access, access);
-      cell.clients.push_back(c);
-    }
-    cell.bottleneck_a = scn.link(cell.agg_a, cell.core, bottleneck,
-                                 bottleneck, p + "bottleneck-a");
-    cell.bottleneck_b = scn.link(cell.agg_b, cell.core, bottleneck,
-                                 bottleneck, p + "bottleneck-b");
-    for (size_t i = 0; i < spec.cell.servers; ++i) {
-      const NodeId s = scn.host(p + "server" + std::to_string(i), shard);
-      scn.link(cell.core, s, access, access);
-      cell.servers.push_back(s);
-    }
-    out.cells.push_back(std::move(cell));
+    out.cells.push_back(declare_capacity_cell(
+        scn, spec.cell, "c" + std::to_string(j) + ".", j % shards));
   }
 
-  if (spec.ring && spec.cells > 1) {
+  // The ring core[j] -> core[(j+1) % cells] carries cross-cell traffic;
+  // its delay is the engine's epoch quantum.
+  constexpr double kRingRateBps = 2e9;
+  constexpr SimTime kRingDelay = 5 * kMillisecond;
+  if (spec.cells > 1) {
     LinkConfig ring;
-    ring.rate_bps = spec.ring_rate_bps;
-    ring.prop_delay = spec.ring_delay;
+    ring.rate_bps = kRingRateBps;
+    ring.prop_delay = kRingDelay;
     ring.buffer_bytes = std::max<size_t>(
-        LinkConfig::buffer_for_delay(spec.ring_rate_bps, 20 * kMillisecond),
-        3000);
+        LinkConfig::buffer_for_delay(kRingRateBps, 20 * kMillisecond), 3000);
     for (size_t j = 0; j < spec.cells; ++j) {
       const size_t next = (j + 1) % spec.cells;
       out.ring_links.push_back(scn.link(out.cells[j].core,

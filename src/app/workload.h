@@ -81,10 +81,6 @@ struct FlowClass {
   /// kConnectionPerTransfer only.
   size_t persistent_per_client = 0;
 
-  /// Indices into each client host's interface list that this class binds
-  /// as first-subflow source addresses (round-robin). Empty = all.
-  std::vector<size_t> local_addr_set;
-
   // --- serving-stack modes --------------------------------------------
 
   enum class AppMode : uint8_t {
@@ -201,20 +197,16 @@ CapacityTopology build_capacity_topology(const CapacitySpec& spec,
                                          uint64_t seed);
 
 /// Scale-out sharded shape: `cells` disjoint replicas of the capacity
-/// cell above, cell j pinned to shard j % shards, optionally wired in a
-/// ring through their core routers (the ring links are the cross-shard
-/// handoff paths). The topology -- node set, link indices, loss seeds,
+/// cell above, cell j pinned to shard j % shards, wired in a ring of
+/// 2 Gbps, 5 ms links through their core routers when cells > 1 (the ring
+/// links are the cross-shard handoff paths; their delay is the engine's
+/// epoch quantum). The topology -- node set, link indices, loss seeds,
 /// addresses, routes -- depends only on (spec, seed), never on the shard
 /// count, which is what lets a sharded run reproduce the single-shard
 /// run's simulated metrics exactly when traffic stays inside cells.
 struct ShardedCapacitySpec {
   CapacitySpec cell;
   size_t cells = 4;
-  /// Connect core[j] -> core[(j+1) % cells]; required for cross-cell
-  /// traffic, and the source of the engine's epoch quantum (ring_delay).
-  bool ring = true;
-  double ring_rate_bps = 2e9;
-  SimTime ring_delay = 5 * kMillisecond;
 };
 
 struct ShardedCapacity {

@@ -147,15 +147,6 @@ void Topology::set_link_up(size_t l, bool up) {
   }
 }
 
-size_t Topology::shard_for_token(std::string_view token) const {
-  uint64_t h = 14695981039346656037ULL;
-  for (char c : token) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<size_t>(h % loops_.size());
-}
-
 std::vector<const StatsRegistry*> Topology::shard_stats() const {
   std::vector<const StatsRegistry*> parts;
   parts.reserve(loops_.size());

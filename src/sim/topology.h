@@ -42,7 +42,6 @@
 #include <cassert>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/link.h"
@@ -122,10 +121,6 @@ class Topology {
   // --- sharding -----------------------------------------------------------
   size_t shard_count() const { return loops_.size(); }
   size_t shard_of(NodeId n) const { return nodes_[n].shard; }
-  /// Stable token -> shard pinning (FNV-1a mod shard count), the helper
-  /// scenario builders use to spread named entities across shards
-  /// without coordinating.
-  size_t shard_for_token(std::string_view token) const;
   /// Ring capacity for cross-shard channels created by *subsequent*
   /// connect() calls. Overflow past the ring spills to an unbounded
   /// vector, so this tunes memory/backpressure, not correctness.

@@ -112,28 +112,25 @@ TEST(FleetSampling, IslandPlacementBalancedAcrossShards) {
   for (size_t c : occ) total += c;
   EXPECT_EQ(total, 64u);
   EXPECT_TRUE(fleet.shards_balanced());
-}
 
-TEST(FleetSampling, GreedyPlacementBalancedAndDeterministic) {
-  // kGreedy feeds the islands to the edge-cut partitioner as isolated
-  // weighted units (1 + path count); with no edges the placement
-  // degenerates to deterministic weighted balancing, so it must beat the
-  // token hash's statistical balance and reproduce exactly run to run.
-  FleetSpec spec;
-  spec.clients = 64;
-  spec.shards = 4;
-  spec.placement = FleetSpec::Placement::kGreedy;
-  FleetEngine fleet(spec);
-  const auto occ = fleet.shard_occupancy();
-  ASSERT_EQ(occ.size(), 4u);
-  size_t total = 0;
-  for (size_t c : occ) total += c;
-  EXPECT_EQ(total, 64u);
-  EXPECT_TRUE(fleet.shards_balanced(/*tolerance=*/0.3));
-
+  // Placement is a pure function of the spec.
   FleetEngine again(spec);
   for (size_t i = 0; i < fleet.island_count(); ++i) {
     EXPECT_EQ(fleet.island_shard(i), again.island_shard(i)) << i;
+  }
+
+  // Every island sits whole on its shard in the built Topology: the fleet
+  // digest's shard-count invariance rests on no island packet ever
+  // crossing shards.
+  Topology& t = fleet.topo();
+  for (size_t i = 0; i < fleet.island_count(); ++i) {
+    const size_t shard = fleet.island_shard(i);
+    const size_t path = fleet.island_path_link(i, 0);
+    const size_t wire = fleet.island_server_link(i);
+    EXPECT_EQ(t.shard_of(t.link_node_a(path)), shard) << "client " << i;
+    EXPECT_EQ(t.shard_of(t.link_node_b(path)), shard) << "gateway " << i;
+    EXPECT_EQ(t.shard_of(t.link_node_a(wire)), shard) << "gateway " << i;
+    EXPECT_EQ(t.shard_of(t.link_node_b(wire)), shard) << "server " << i;
   }
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "app/bulk_app.h"
+#include "app/scenario.h"
 #include "app/workload.h"
 
 namespace mptcp {
@@ -384,6 +385,196 @@ TEST(Workload, RegistryReturnsToBaselineAfterThousandConnectionChurn) {
     EXPECT_EQ(conn->scheduler().state_entries(), cursors_before)
         << "per-subflow scheduler state leaked across subflow teardown";
   }
+}
+
+/// The one token hash: a pure function of (token, shard count), always in
+/// range, and it spreads the fleet's island tokens over every shard.
+TEST(ScenarioSpec, ShardForIsStableAndInRange) {
+  ScenarioSpec one;
+  EXPECT_EQ(one.shard_count(), 1u);
+  EXPECT_EQ(one.shard_for("f0.client"), 0u);
+  ScenarioSpec zero;
+  zero.shards(0);
+  EXPECT_EQ(zero.shard_count(), 1u) << "zero shards clamps to one";
+  EXPECT_EQ(zero.shard_for("anything"), 0u);
+
+  for (size_t n : {2u, 3u, 4u}) {
+    ScenarioSpec a, b;
+    a.shards(n);
+    b.shards(n).seed(99);  // the seed does not enter placement
+    std::set<size_t> used;
+    for (size_t i = 0; i < 64; ++i) {
+      const std::string token = "f" + std::to_string(i) + ".client";
+      const size_t s = a.shard_for(token);
+      EXPECT_LT(s, n) << token;
+      EXPECT_EQ(s, b.shard_for(token)) << token;
+      EXPECT_EQ(s, a.shard_for(token)) << token;
+      used.insert(s);
+    }
+    EXPECT_EQ(used.size(), n) << "64 island tokens leave a shard empty";
+  }
+}
+
+/// An explicit per-node shard is the one way to place a node: build()
+/// keeps declaration-order ids, names and link indices, and puts every
+/// node on exactly the shard it was declared on.
+TEST(ScenarioSpec, BuildPinsEachNodeToItsDeclaredShard) {
+  ScenarioSpec spec;
+  spec.seed(3).shards(3);
+  const NodeId h0 = spec.host("h0", 0);
+  const NodeId r1 = spec.router("r1", 1);
+  const NodeId r2 = spec.router("r2", 2);
+  const NodeId h2 = spec.host("h2", 2);
+  const size_t l01 = spec.link(h0, r1, fast_link(), fast_link());
+  const size_t l12 = spec.link(r1, r2, fast_link(), fast_link(), "core");
+  const size_t l22 = spec.link(r2, h2, fast_link(), fast_link());
+  Scenario scn = spec.build();
+  Topology& topo = scn.topo();
+
+  ASSERT_EQ(topo.shard_count(), 3u);
+  ASSERT_EQ(topo.node_count(), 4u);
+  EXPECT_EQ(topo.shard_of(h0), 0u);
+  EXPECT_EQ(topo.shard_of(r1), 1u);
+  EXPECT_EQ(topo.shard_of(r2), 2u);
+  EXPECT_EQ(topo.shard_of(h2), 2u);
+  EXPECT_EQ(topo.node_name(r1), "r1");
+  EXPECT_TRUE(topo.is_router(r2));
+  EXPECT_FALSE(topo.is_router(h2));
+
+  ASSERT_EQ(topo.link_count(), 3u);
+  EXPECT_EQ(topo.link_node_a(l01), h0);
+  EXPECT_EQ(topo.link_node_b(l01), r1);
+  EXPECT_EQ(topo.link_node_a(l12), r1);
+  EXPECT_EQ(topo.link_node_b(l12), r2);
+  EXPECT_EQ(topo.link_ab(l12).name(), "core-ab");
+  EXPECT_EQ(topo.link_node_b(l22), h2);
+  // Two links cross shards; the one inside shard 2 does not.
+  EXPECT_EQ(topo.channels().size(), 4u);
+}
+
+/// declare_two_host() pins client, gateway and server to the one shard it
+/// is given and namespaces them by prefix: an island never straddles
+/// shards.
+TEST(ScenarioSpec, DeclareTwoHostPinsWholeShapeToOneShard) {
+  ScenarioSpec spec;
+  spec.shards(4);
+  const size_t shard = spec.shard_for("f3.client");
+  const TwoHostShape shape =
+      declare_two_host(spec, {wifi_path(), threeg_path()}, "f3.", shard);
+  Scenario scn = spec.build();
+  Topology& topo = scn.topo();
+
+  EXPECT_EQ(topo.node_name(shape.client), "f3.client");
+  EXPECT_EQ(topo.node_name(shape.gw), "f3.gw");
+  EXPECT_EQ(topo.node_name(shape.server), "f3.server");
+  EXPECT_TRUE(topo.is_router(shape.gw));
+  for (NodeId n : {shape.client, shape.gw, shape.server}) {
+    EXPECT_EQ(topo.shard_of(n), shard) << topo.node_name(n);
+  }
+  ASSERT_EQ(shape.paths.size(), 2u);
+  for (size_t l : shape.paths) {
+    EXPECT_EQ(topo.link_node_a(l), shape.client);
+    EXPECT_EQ(topo.link_node_b(l), shape.gw);
+  }
+  EXPECT_EQ(topo.link_node_a(shape.server_link), shape.gw);
+  EXPECT_EQ(topo.link_node_b(shape.server_link), shape.server);
+  EXPECT_EQ(topo.addrs(shape.client).size(), 2u) << "one address per path";
+  EXPECT_TRUE(topo.channels().empty());
+}
+
+/// Both capacity builders declare the same cell: each sharded cell is the
+/// single cell renamed "c<j>." and pinned to shard j % shards, with the
+/// same node roles, link order and link shapes; the ring joins the cores.
+TEST(Topology, ShardedCapacityCellsMirrorTheSingleCell) {
+  CapacitySpec cell;
+  cell.clients = 3;
+  cell.servers = 2;
+  CapacityTopology one = build_capacity_topology(cell, /*seed=*/4);
+  Topology& t1 = *one.topo;
+
+  ShardedCapacitySpec sspec;
+  sspec.cell = cell;
+  sspec.cells = 3;
+  ShardedCapacity many = build_sharded_capacity(sspec, /*seed=*/4,
+                                                /*shards=*/2);
+  Topology& tn = *many.topo;
+  ASSERT_EQ(many.cells.size(), 3u);
+  ASSERT_EQ(tn.node_count(), 3 * t1.node_count());
+  ASSERT_EQ(tn.link_count(), 3 * t1.link_count() + 3);
+
+  for (size_t j = 0; j < 3; ++j) {
+    const std::string prefix = "c" + std::to_string(j) + ".";
+    const NodeId node_base = j * t1.node_count();
+    const size_t link_base = j * t1.link_count();
+    for (NodeId n = 0; n < t1.node_count(); ++n) {
+      EXPECT_EQ(tn.node_name(node_base + n), prefix + t1.node_name(n));
+      EXPECT_EQ(tn.is_router(node_base + n), t1.is_router(n));
+      EXPECT_EQ(tn.shard_of(node_base + n), j % 2);
+    }
+    for (size_t l = 0; l < t1.link_count(); ++l) {
+      EXPECT_EQ(tn.link_node_a(link_base + l),
+                node_base + t1.link_node_a(l));
+      EXPECT_EQ(tn.link_node_b(link_base + l),
+                node_base + t1.link_node_b(l));
+      const LinkConfig& a = t1.link_ab(l).config();
+      const LinkConfig& b = tn.link_ab(link_base + l).config();
+      EXPECT_EQ(a.rate_bps, b.rate_bps) << prefix << l;
+      EXPECT_EQ(a.prop_delay, b.prop_delay) << prefix << l;
+      EXPECT_EQ(a.buffer_bytes, b.buffer_bytes) << prefix << l;
+    }
+    const ShardedCapacity::Cell& c = many.cells[j];
+    EXPECT_EQ(c.core, node_base + one.core);
+    EXPECT_EQ(c.bottleneck_a, link_base + one.bottleneck_a);
+    EXPECT_EQ(c.bottleneck_b, link_base + one.bottleneck_b);
+    EXPECT_EQ(tn.link_ab(c.bottleneck_b).name(),
+              prefix + "bottleneck-b-ab");
+    ASSERT_EQ(c.clients.size(), one.clients.size());
+    ASSERT_EQ(c.servers.size(), one.servers.size());
+  }
+
+  ASSERT_EQ(many.ring_links.size(), 3u);
+  for (size_t j = 0; j < 3; ++j) {
+    const size_t l = many.ring_links[j];
+    EXPECT_EQ(tn.link_node_a(l), many.cells[j].core);
+    EXPECT_EQ(tn.link_node_b(l), many.cells[(j + 1) % 3].core);
+  }
+
+  ShardedCapacitySpec single = sspec;
+  single.cells = 1;
+  EXPECT_TRUE(build_sharded_capacity(single, 4, 1).ring_links.empty());
+}
+
+/// A client's flows take turns over all of its interfaces: two plain-TCP
+/// persistent flows from one dual-homed client leave from different
+/// addresses, so both aggregation routers carry traffic.
+TEST(Workload, FlowsRoundRobinOverAllClientInterfaces) {
+  CapacitySpec spec;
+  spec.clients = 1;
+  spec.servers = 1;
+  spec.bottleneck_rate_bps = 100e6;
+  CapacityTopology cap = build_capacity_topology(spec, /*seed=*/6);
+  Topology& topo = *cap.topo;
+  ASSERT_EQ(topo.addrs(cap.clients[0]).size(), 2u);
+
+  WorkloadConfig wc;
+  wc.clients = cap.clients;
+  wc.servers = cap.servers;
+  wc.seed = 6;
+  FlowClass fc;
+  fc.name = "test-rr";
+  fc.arrival_rate_hz = 0;
+  fc.persistent_per_client = 2;
+  fc.transport = small_transport(TransportKind::kTcp);
+  wc.classes.push_back(fc);
+
+  WorkloadEngine engine(topo, wc);
+  engine.start();
+  topo.loop().run_until(1 * kSecond);
+
+  EXPECT_EQ(engine.peak_concurrent(), 2u);
+  EXPECT_EQ(engine.errors(0), 0u);
+  EXPECT_GT(topo.router(cap.agg_a).forwarded(), 100u);
+  EXPECT_GT(topo.router(cap.agg_b).forwarded(), 100u);
 }
 
 }  // namespace
