@@ -7,11 +7,9 @@
 //      publish/barrier/drain cycle. Tracks the wall-clock p50 of
 //      arrive_and_wait() (barrier_wait_ns_p50).
 //   2. Handoff batch throughput -- a one-direction burst firehose across
-//      a channel that starts with a deliberately tiny ring; volume ramps
-//      so the consumer-side auto-resize always stays ahead of the
-//      producer. Tracks handoff_segments_per_sec and asserts
-//      spsc_spills_total == 0 (a spill at this scale means auto-sizing
-//      regressed).
+//      one channel, 2048 segments per quantum. Tracks
+//      handoff_segments_per_sec and asserts that every segment arrives
+//      once, in order: delivered == handed off == target.
 //   3. Epoch auto-tuning -- an unbalanced 4-shard topology: a chatty
 //      1 ms pair and a sleepy 50 ms pair, traffic in bursts with long
 //      idle gaps. The same workload runs under the per-group engine
@@ -20,8 +18,8 @@
 //      epochs_per_run is the auto engine's count and must stay strictly
 //      below fixed_lockstep_epochs.
 //
-// Epoch counts and spill totals are virtual-schedule quantities --
-// identical on every machine -- so this binary never clamps --shards;
+// Epoch counts are virtual-schedule quantities -- identical on every
+// machine -- so this binary never clamps --shards;
 // only the *_ns_* and *_per_sec keys move with the host. Writes
 // BENCH_shard.json (or argv[1]); `--smoke` runs reduced-scale phases 1+2
 // only, the ctest/ThreadSanitizer workload.
@@ -110,17 +108,14 @@ BarrierPhase run_barrier_phase(SimTime duration) {
 // --- 2. handoff batch throughput ------------------------------------------
 
 /// Burst source: every epoch quantum it burst-delivers `burst` segments
-/// and grows the burst 25%, so the channel's consumer-side ring resize
-/// (triggered at half occupancy, growing to 4x the observed drain) is
-/// always a step ahead of the producer and nothing ever spills.
+/// until `target` have gone out.
 struct Burster {
   EventLoop* loop = nullptr;
   Link* out = nullptr;
   SimTime interval = 0;
   uint64_t target = 0;
   uint64_t sent = 0;
-  size_t burst = 4;
-  size_t burst_max = 2048;
+  size_t burst = 2048;
   std::vector<TcpSegment> batch;
 
   void fire() {
@@ -133,25 +128,35 @@ struct Burster {
     }
     out->deliver_burst(batch.data(), n);
     sent += n;
-    burst = std::min(burst + burst / 4 + 1, burst_max);
     if (sent < target) {
       loop->schedule_in(interval, [this] { fire(); });
     }
   }
 };
 
+/// Destination-side sink: counts every arrival and how many of them
+/// came in send order (seq == arrivals before it), so a lost, duplicated
+/// or reordered segment shows as received != sent or in_order <
+/// received.
+class ArrivalCounter : public PacketSink {
+ public:
+  void deliver(TcpSegment seg) override {
+    if (seg.seq == received) ++in_order;
+    ++received;
+  }
+  uint64_t received = 0;
+  uint64_t in_order = 0;
+};
+
 struct HandoffPhase {
-  uint64_t packets = 0;
-  uint64_t spills = 0;
-  uint64_t resizes = 0;
+  uint64_t packets = 0;  ///< segments handed across the shard boundary
+  uint64_t received = 0;
+  uint64_t in_order = 0;
   double wall_seconds = 0;
 };
 
 HandoffPhase run_handoff_phase(uint64_t target_segments) {
   Topology topo(/*seed=*/1, /*shards=*/2);
-  // Deliberately undersized ring: the phase exists to prove the observed
-  // per-epoch volume resizes it before anything spills.
-  topo.set_handoff_ring_capacity(16);
   const NodeId a = topo.add_host("a", 0);
   const NodeId b = topo.add_host("b", 1);
   LinkConfig cfg;
@@ -160,23 +165,27 @@ HandoffPhase run_handoff_phase(uint64_t target_segments) {
   cfg.buffer_bytes = 8 << 20;
   const size_t l = topo.connect(a, b, cfg, cfg);
 
+  ArrivalCounter sink;
+  topo.channels()[0]->set_target(&sink);  // a->b direction
+
   Burster src{&topo.loop(0), &topo.link_ab(l), cfg.prop_delay,
               target_segments};
   topo.loop(0).schedule_in(0, [&src] { src.fire(); });
 
   ShardedEngine engine(topo);
   WallTimer w;
-  // Worst case one max burst per quantum; 2x slack covers the ramp.
+  // One burst per quantum; 2x slack leaves room for the last bursts to
+  // serialize, cross and be delivered before the horizon.
   const SimTime horizon =
-      static_cast<SimTime>(2 * target_segments / src.burst_max + 64) *
+      static_cast<SimTime>(2 * target_segments / src.burst + 64) *
       cfg.prop_delay;
   engine.run_until(horizon);
 
   HandoffPhase out;
   out.wall_seconds = w.seconds();
   out.packets = engine.handoff_packets();
-  out.spills = engine.handoff_spills();
-  out.resizes = engine.ring_resizes();
+  out.received = sink.received;
+  out.in_order = sink.in_order;
   return out;
 }
 
@@ -293,26 +302,22 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  const HandoffPhase hand =
-      run_handoff_phase(smoke ? 50'000 : 1'500'000);
+  const uint64_t hand_target = smoke ? 50'000 : 1'500'000;
+  const HandoffPhase hand = run_handoff_phase(hand_target);
   const double hand_rate =
       hand.wall_seconds > 0
           ? static_cast<double>(hand.packets) / hand.wall_seconds
           : 0;
   std::printf("handoff_segments_per_sec  %14.0f\n", hand_rate);
-  std::printf("spsc_spills_total         %14llu\n",
-              static_cast<unsigned long long>(hand.spills));
-  std::printf("ring_resizes_total        %14llu\n",
-              static_cast<unsigned long long>(hand.resizes));
-  if (hand.spills != 0) {
+  if (hand.packets != hand_target || hand.received != hand.packets ||
+      hand.in_order != hand.received) {
     std::fprintf(stderr,
-                 "FAIL: %llu segments spilled past the ring; auto-sizing "
-                 "should keep bench-scale spills at zero\n",
-                 static_cast<unsigned long long>(hand.spills));
-    ok = false;
-  }
-  if (hand.resizes == 0) {
-    std::fprintf(stderr, "FAIL: the ramp never exercised a ring resize\n");
+                 "FAIL: handed off %llu of %llu segments, delivered "
+                 "%llu (%llu in order)\n",
+                 static_cast<unsigned long long>(hand.packets),
+                 static_cast<unsigned long long>(hand_target),
+                 static_cast<unsigned long long>(hand.received),
+                 static_cast<unsigned long long>(hand.in_order));
     ok = false;
   }
 
@@ -348,9 +353,6 @@ int main(int argc, char** argv) {
   fields.emplace_back("barrier_wait_ns_p50",
                       static_cast<double>(bar.wait_p50_ns));
   fields.emplace_back("handoff_segments_per_sec", hand_rate);
-  fields.emplace_back("spsc_spills_total", static_cast<double>(hand.spills));
-  fields.emplace_back("ring_resizes_total",
-                      static_cast<double>(hand.resizes));
   fields.emplace_back("wall_seconds_total", total.seconds());
 
   if (!write_json(out_path, fields)) {

@@ -184,7 +184,6 @@ class Scenario {
   Topology& topo() { return *topo_; }
 
   // --- middlebox access by declaration handle ------------------------------
-  size_t middlebox_count() const { return mboxes_.size(); }
   OptionStripper* option_stripper(size_t h) {
     return mboxes_[h].stripper.get();
   }
@@ -202,11 +201,6 @@ class Scenario {
   void stop_workloads() {
     for (auto& e : engines_) e->stop();
   }
-
-  /// Interface address the link's host-side endpoint gained on link `l`
-  /// (side a preferred when both ends are hosts); the address a NAT on
-  /// that link translates.
-  IpAddr link_host_addr(size_t l) const { return link_host_addr_.at(l); }
 
   /// Hands the bare Topology to callers that predate Scenario ownership
   /// (the capacity builders). Only legal when the spec declared no
@@ -229,7 +223,9 @@ class Scenario {
   std::unique_ptr<Topology> topo_;
   std::vector<MboxInstance> mboxes_;
   std::vector<std::unique_ptr<WorkloadEngine>> engines_;
-  std::vector<IpAddr> link_host_addr_;  ///< host-side address per link
+  /// Per link: the address its host-side endpoint gained (side a when
+  /// both ends are hosts) -- the address a NAT on that link translates.
+  std::vector<IpAddr> link_host_addr_;
 };
 
 /// The classic two-host shape, declared on a spec: a (possibly

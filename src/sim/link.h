@@ -74,7 +74,6 @@ class Link : public PacketSink {
   /// Administrative up/down; a downed link drops everything, modelling
   /// loss of an interface (mobility scenarios).
   void set_up(bool up) { up_ = up; }
-  bool is_up() const { return up_; }
 
   /// Changes the loss probability mid-run (scenario scripting).
   void set_loss_prob(double p) { config_.loss_prob = p; }

@@ -93,7 +93,6 @@ void Host::deliver(TcpSegment seg) {
   // through its backlog plus this segment's own cost.
   const SimTime start = std::max(loop_.now(), cpu_free_at_);
   cpu_free_at_ = start + cost;
-  cpu_busy_total_ += cost;
   cpu_pending_.push_back(std::move(seg));
   loop_.schedule_at(cpu_free_at_, [this] { process_queued(); });
 }

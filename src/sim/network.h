@@ -116,7 +116,6 @@ class Host : public PacketSink {
   /// Charges extra CPU time from within segment processing; extends the
   /// busy period seen by subsequent segments.
   void charge_cpu(SimTime cost) { cpu_free_at_ += cost; }
-  SimTime cpu_busy_total() const { return cpu_busy_total_; }
 
   uint64_t delivered_segments() const { return delivered_segments_; }
   uint64_t demux_misses() const { return demux_misses_; }
@@ -140,7 +139,6 @@ class Host : public PacketSink {
 
   CpuConfig cpu_;
   SimTime cpu_free_at_ = 0;
-  SimTime cpu_busy_total_ = 0;
   /// Segments awaiting the modelled CPU. Completion times are scheduled in
   /// non-decreasing order (cpu_free_at_ is monotonic), so each completion
   /// event processes the front -- the queue keeps segments out of the event
@@ -176,7 +174,6 @@ class Router : public PacketSink {
     routes_.clear();
     default_ = nullptr;
   }
-  size_t route_count() const { return routes_.size(); }
   /// The installed next hop for `dst`, or null (scenario builders mirror
   /// an existing route under an alias address, e.g. a NAT's public side).
   PacketSink* next_hop(IpAddr dst) const {
@@ -205,9 +202,6 @@ class Router : public PacketSink {
 class Network : public PacketSink {
  public:
   void attach(IpAddr addr, PacketSink* ingress) { hosts_[addr] = ingress; }
-  void attach_host(Host& host) {
-    for (IpAddr a : host.addresses()) attach(a, &host);
-  }
 
   void deliver(TcpSegment seg) override {
     auto it = hosts_.find(seg.tuple.dst.addr);

@@ -19,30 +19,14 @@ void ShardChannel::send(SimTime arrival, TcpSegment seg) {
     seg.payload = Payload(seg.payload.span());
   }
   ++pushed_;
-  HandoffItem item{arrival, std::move(seg)};
-  if (!ring_.try_push(std::move(item))) {
-    // The ring cannot drain before the next barrier, so blocking here
-    // would deadlock the epoch; spill instead. FIFO survives: once the
-    // ring is full it stays full for the rest of the epoch, so every
-    // later send this epoch spills behind this one.
-    ++spilled_;
-    overflow_.push_back(std::move(item));
-  }
+  outbox_.push_back(HandoffItem{arrival, std::move(seg)});
 }
 
 size_t ShardChannel::drain() {
   const size_t base = pending_.size();
-  size_t n = 0;
-  HandoffItem item;
-  while (ring_.try_pop(item)) {
-    pending_.push_back(std::move(item));
-    ++n;
-  }
-  for (HandoffItem& spilled : overflow_) {
-    pending_.push_back(std::move(spilled));
-    ++n;
-  }
-  overflow_.clear();
+  const size_t n = outbox_.size();
+  for (HandoffItem& item : outbox_) pending_.push_back(std::move(item));
+  outbox_.clear();  // keeps the capacity for the next epoch
 
   // One event per run of equal arrival times. The old per-item events
   // carried consecutive schedule-seqs with nothing interleaved between
@@ -61,7 +45,6 @@ size_t ShardChannel::drain() {
     i += run;
   }
   delivered_ += n;
-  maybe_resize(n);
   return n;
 }
 
@@ -73,24 +56,6 @@ void ShardChannel::deliver_front(size_t n) {
   }
   if (target_ != nullptr) target_->deliver_burst(scratch_.data(), n);
   scratch_.clear();  // drop moved-from husks (and any undelivered payloads)
-}
-
-void ShardChannel::maybe_resize(size_t drained) {
-  // Consumer side, barrier-only: the producer is quiesced and the ring
-  // is empty, and the next barrier publishes the new buffer before any
-  // push. Grow when the epoch actually spilled or the drained volume
-  // crowds the ring (>= half), targeting 4x the observed volume so a
-  // steady workload stops resizing after a few epochs.
-  const uint64_t spills = spilled_;
-  const bool spilled_now = spills != spills_seen_;
-  spills_seen_ = spills;
-  const size_t cap = ring_.capacity();
-  if (!spilled_now && drained * 2 < cap) return;
-  const size_t want = std::min(std::max(drained * 4, cap * 2),
-                               kMaxRingCapacity);
-  if (want <= cap) return;
-  ring_.rebuild(want);
-  ++resizes_;
 }
 
 ShardedEngine::ShardedEngine(Topology& topo, Config cfg)
@@ -137,8 +102,7 @@ ShardedEngine::ShardedEngine(Topology& topo, Config cfg)
       const size_t root = find(s);
       if (group_of_root[root] == nullptr) {
         groups_.push_back(std::make_unique<Group>());
-        groups_.back()->allow_skip = true;
-        groups_.back()->allow_ff = true;
+        groups_.back()->optimized = true;
         group_of_root[root] = groups_.back().get();
       }
       group_of_root[root]->members.push_back(s);
@@ -168,14 +132,6 @@ ShardedEngine::ShardedEngine(Topology& topo, Config cfg)
   }
 }
 
-SimTime ShardedEngine::quantum() const {
-  SimTime q = 0;
-  for (const auto& g : groups_) {
-    if (g->quantum > 0 && (q == 0 || g->quantum < q)) q = g->quantum;
-  }
-  return q;
-}
-
 void ShardedEngine::run_until(SimTime t) {
   const size_t shards = topo_.shard_count();
   if (shards <= 1) {
@@ -188,7 +144,7 @@ void ShardedEngine::run_until(SimTime t) {
   if (t <= start) return;
 
   // Seed per-run group state while every thread is quiesced: the
-  // backlog flag (segments parked in rings by the previous run's tail),
+  // backlog flag (segments parked in outboxes by the previous run's tail),
   // the watermark baseline, and both banks' event floors.
   for (auto& g : groups_) {
     uint64_t pushed = 0;
@@ -258,7 +214,7 @@ void ShardedEngine::run_group_epochs(size_t shard, Group& g, SimTime start,
   SimTime at = start;
   while (at < t_end) {
     SimTime next;
-    if (!g.allow_ff) {
+    if (!g.optimized) {
       next = (t_end - at <= q) ? t_end : at + q;
     } else if (k == 0 && g.backlog_at_start) {
       // Parked arrivals from the previous run must be drained at the
@@ -284,28 +240,28 @@ void ShardedEngine::run_group_epochs(size_t shard, Group& g, SimTime start,
     bank[me].pushed.store(out, std::memory_order_release);
     bank[me].next_event.store(loop.next_event_time(),
                               std::memory_order_release);
-    // First barrier: every producer finished the epoch, so rings and
-    // overflow vectors are quiescent and safe to read from this thread.
+    // First barrier: every producer finished the epoch, so the outboxes
+    // are quiescent and safe to read from this thread.
     timed_wait(*g.barrier, waits);
 
     uint64_t total = 0;
     for (size_t m = 0; m < parties; ++m) {
       total += bank[m].pushed.load(std::memory_order_acquire);
     }
-    if (!g.allow_skip || total != prev_total) {
+    if (!g.optimized || total != prev_total) {
       for (ShardChannel* ch : inbound) ch->drain();
       // Drained arrivals lower this loop's event floor; republish before
       // the neighbors read it for the next epoch's fast-forward.
       bank[me].next_event.store(loop.next_event_time(),
                                 std::memory_order_release);
       // Second barrier: all drains are done before any shard produces
-      // into the rings again next epoch.
+      // into the outboxes again next epoch.
       timed_wait(*g.barrier, waits);
       prev_total = total;
     } else if (me == 0) {
       // Group-wide sum unchanged since the last drain: every inbound
-      // ring is empty, nothing to schedule, nothing for a second barrier
-      // to protect. Every member computed the same sum from the same
+      // outbox is empty, nothing to schedule, nothing for a second
+      // barrier to protect. Every member computed the same sum from the same
       // bank, so all of them skip together.
       ++skips;
     }
@@ -316,7 +272,7 @@ void ShardedEngine::run_group_epochs(size_t shard, Group& g, SimTime start,
   // The final drain can schedule arrivals at exactly t_end (depart at
   // t_end - prop in the last epoch); they belong to this run. Anything
   // they send cross-shard arrives at >= t_end + lookahead and waits in
-  // the rings for the next run's first barrier.
+  // the outboxes for the next run's first barrier.
   loop.run_until(t_end);
   if (me == 0) {
     g.epoch_iters = iters;
@@ -350,18 +306,6 @@ void ShardedEngine::timed_wait(EpochBarrier& bar, Histogram& h) {
 uint64_t ShardedEngine::handoff_packets() const {
   uint64_t n = 0;
   for (const auto& ch : topo_.channels()) n += ch->pushed();
-  return n;
-}
-
-uint64_t ShardedEngine::handoff_spills() const {
-  uint64_t n = 0;
-  for (const auto& ch : topo_.channels()) n += ch->spilled();
-  return n;
-}
-
-uint64_t ShardedEngine::ring_resizes() const {
-  uint64_t n = 0;
-  for (const auto& ch : topo_.channels()) n += ch->ring_resizes();
   return n;
 }
 

@@ -6,8 +6,8 @@
 // partition) and is driven by one worker thread. Links whose endpoints
 // live in different shards keep their egress machinery (queue,
 // serialization, loss) in the source shard and hand finished segments to
-// the destination shard through a ShardChannel: a bounded SPSC ring plus
-// a producer-owned overflow spill.
+// the destination shard through a ShardChannel: a plain outbox vector the
+// producer appends to mid-epoch and the consumer empties at the barrier.
 //
 // Synchronization is epoch-based and conservative, organized around
 // *sync groups*: the weakly-connected components of the shard graph
@@ -50,8 +50,12 @@
 // Thread-safety contract: a shard's loop, nodes, links, sockets and
 // registry partition are touched only by that shard's worker thread
 // while run_until() is executing (and only by the caller's thread
-// before/after). Payload buffers are refcounted *non-atomically*, so
-// ShardChannel::send() detaches the payload -- one copy into a fresh
+// before/after). A channel's outbox is the one structure two threads
+// share, and never at the same time: the producer appends only inside an
+// epoch, the consumer drains only between the epoch's two barriers, so
+// the barriers carry every happens-before edge and the outbox needs no
+// atomics of its own. Payload buffers are refcounted *non-atomically*,
+// so ShardChannel::send() detaches the payload -- one copy into a fresh
 // buffer -- before a segment crosses threads; this is the only byte copy
 // the handoff costs.
 #pragma once
@@ -67,7 +71,6 @@
 #include "sim/barrier.h"
 #include "sim/event_loop.h"
 #include "sim/node.h"
-#include "sim/spsc.h"
 
 namespace mptcp {
 
@@ -84,9 +87,9 @@ struct HandoffItem {
 class ShardChannel {
  public:
   ShardChannel(size_t src_shard, size_t dst_shard, EventLoop& dst_loop,
-               size_t ring_capacity, SimTime lookahead = 0)
+               SimTime lookahead = 0)
       : src_shard_(src_shard), dst_shard_(dst_shard), dst_loop_(dst_loop),
-        lookahead_(lookahead), ring_(ring_capacity) {}
+        lookahead_(lookahead) {}
 
   ShardChannel(const ShardChannel&) = delete;
   ShardChannel& operator=(const ShardChannel&) = delete;
@@ -105,39 +108,29 @@ class ShardChannel {
   PacketSink* target() const { return target_; }
   void set_target(PacketSink* t) { target_ = t; }
 
-  /// Producer side: hands a segment off for delivery at `arrival`.
-  /// Detaches the payload (non-atomic refcounts must not cross threads)
-  /// and spills to the overflow vector when the ring is full -- the ring
-  /// cannot drain mid-epoch, so blocking here would deadlock the epoch.
+  /// Producer side: hands a segment off for delivery at `arrival` by
+  /// appending it to the outbox. Detaches the payload first (non-atomic
+  /// refcounts must not cross threads). Never blocks: nothing drains
+  /// mid-epoch, so the outbox holds the whole epoch's traffic.
   void send(SimTime arrival, TcpSegment seg);
 
-  /// Consumer side, barrier-only: moves every queued segment (ring
-  /// first, then overflow, preserving producer FIFO order) into the
-  /// pending deque and schedules one delivery event per run of equal
-  /// arrival times -- each event burst-delivers its run through the
-  /// PR 7 deliver_burst path. Returns how many segments were drained.
+  /// Consumer side, barrier-only: moves the outbox (producer FIFO order)
+  /// into the pending deque and schedules one delivery event per run of
+  /// equal arrival times -- each event hands its whole run to the
+  /// target's deliver_burst(). Returns how many segments were drained.
   /// The caller must guarantee the producer is quiesced (the engine's
-  /// barrier does). Also grows the SPSC ring (consumer side, published
-  /// by the barrier) when the observed per-epoch volume crowds it, so
-  /// steady-state spills stay at zero.
+  /// barrier does). The emptied outbox keeps its capacity, so a steady
+  /// per-epoch volume stops allocating after the first epochs.
   size_t drain();
 
   // --- introspection (read at barriers / after the run) -----------------
   uint64_t pushed() const { return pushed_; }
-  uint64_t spilled() const { return spilled_; }
   uint64_t delivered() const { return delivered_; }
-  uint64_t ring_resizes() const { return resizes_; }
-  size_t ring_capacity() const { return ring_.capacity(); }
 
  private:
-  /// Rings never grow past this (1 Mi entries); past it, sustained
-  /// overload spills to the unbounded overflow vector as before.
-  static constexpr size_t kMaxRingCapacity = size_t{1} << 20;
-
   /// Delivery-event callback: pops the front `n` pending segments (one
   /// equal-arrival run, in FIFO order) and burst-delivers them.
   void deliver_front(size_t n);
-  void maybe_resize(size_t drained);
 
   const size_t src_shard_;
   const size_t dst_shard_;
@@ -145,11 +138,10 @@ class ShardChannel {
   const SimTime lookahead_;
   PacketSink* target_ = nullptr;
 
-  SpscRing<HandoffItem> ring_;
-  /// Backpressure spill, written only by the producer thread mid-epoch
-  /// and read/cleared only by the consumer thread at barriers; the
-  /// engine's barrier provides the happens-before edges.
-  std::vector<HandoffItem> overflow_;
+  /// This epoch's handoffs, appended only by the producer thread
+  /// mid-epoch and read/cleared only by the consumer thread at barriers;
+  /// the engine's barriers provide the happens-before edges.
+  std::vector<HandoffItem> outbox_;
 
   /// Drained-but-not-yet-delivered segments, owned by the consumer
   /// thread. Arrival order is globally sorted (FIFO serialization plus a
@@ -161,13 +153,10 @@ class ShardChannel {
   std::deque<HandoffItem> pending_;
   std::vector<TcpSegment> scratch_;  ///< reused burst buffer
 
-  // Producer-written counters and consumer-written counters on separate
-  // cache lines; each is read by other threads only across a barrier.
+  // Producer-written and consumer-written counters on separate cache
+  // lines; each is read by other threads only across a barrier.
   alignas(64) uint64_t pushed_ = 0;
-  uint64_t spilled_ = 0;
   alignas(64) uint64_t delivered_ = 0;
-  uint64_t resizes_ = 0;
-  uint64_t spills_seen_ = 0;  ///< consumer's view of spilled_ at last drain
 };
 
 class Topology;
@@ -201,9 +190,6 @@ class ShardedEngine {
   /// all cross-shard deliveries scheduled before `t`) are done.
   void run_until(SimTime t);
 
-  /// Smallest group quantum (the legacy single-number view; 0 when no
-  /// link crosses shards).
-  SimTime quantum() const;
   /// Barrier-synchronized epoch iterations so far, summed over sync
   /// groups (each group counted once, not per member shard).
   uint64_t epochs() const { return epochs_; }
@@ -213,11 +199,8 @@ class ShardedEngine {
   /// Multi-shard barrier groups (shards with no cross-shard links run
   /// solo and belong to none).
   size_t sync_groups() const { return groups_.size(); }
-  /// Segments handed across shards / spilled past a full ring so far.
+  /// Segments handed across shards so far.
   uint64_t handoff_packets() const;
-  uint64_t handoff_spills() const;
-  /// Times any channel grew its ring from observed handoff volume.
-  uint64_t ring_resizes() const;
   /// p50 of wall-clock nanoseconds spent inside arrive_and_wait(),
   /// across every (shard, barrier crossing) pair so far; 0 before any
   /// barrier was crossed. Bucketed at power-of-two resolution.
@@ -237,8 +220,8 @@ class ShardedEngine {
   struct Group {
     std::vector<size_t> members;  ///< shard ids, ascending
     SimTime quantum = 0;          ///< min lookahead over group channels
-    bool allow_skip = false;
-    bool allow_ff = false;
+    /// Drain skip and idle fast-forward; off only for fixed_lockstep.
+    bool optimized = false;
     std::unique_ptr<EpochBarrier> barrier;
     std::vector<MemberSlot> banks[2];
     // Per-run state, seeded by the coordinator while quiesced.

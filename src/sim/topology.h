@@ -32,11 +32,13 @@
 // each node to a shard, and every node's machinery (sockets, timers,
 // link egress) lives in its shard's loop. A link whose endpoints sit in
 // different shards sends through a ShardChannel (sim/shard.h) instead of
-// a local propagation event; ShardedEngine drives the loops in lockstep
-// epochs. Cross-shard links must have prop_delay > 0 -- the propagation
-// delay is the conservative lookahead that makes barrier-drained handoff
-// exact. Routing is shard-safe as-is: build_routes() only ever installs
-// a router's own egress links, which live in that router's shard.
+// a local propagation event: each direction appends to an outbox that
+// the destination shard drains at the next epoch barrier. ShardedEngine
+// drives the loops in lockstep epochs. Cross-shard links must have
+// prop_delay > 0 -- the propagation delay is the conservative lookahead
+// that makes barrier-drained handoff exact. Routing is shard-safe as-is:
+// build_routes() only ever installs a router's own egress links, which
+// live in that router's shard.
 #pragma once
 
 #include <cassert>
@@ -121,10 +123,6 @@ class Topology {
   // --- sharding -----------------------------------------------------------
   size_t shard_count() const { return loops_.size(); }
   size_t shard_of(NodeId n) const { return nodes_[n].shard; }
-  /// Ring capacity for cross-shard channels created by *subsequent*
-  /// connect() calls. Overflow past the ring spills to an unbounded
-  /// vector, so this tunes memory/backpressure, not correctness.
-  void set_handoff_ring_capacity(size_t cap) { ring_capacity_ = cap; }
   /// Every cross-shard channel, in creation order (ShardedEngine's
   /// deterministic drain order).
   const std::vector<std::unique_ptr<ShardChannel>>& channels() const {
@@ -169,7 +167,6 @@ class Topology {
 
   std::vector<std::unique_ptr<EventLoop>> loops_;  ///< one per shard
   uint64_t seed_;
-  size_t ring_capacity_ = 1024;
   SimTime min_cross_prop_ = 0;
   std::vector<Node> nodes_;
   std::vector<LinkRec> links_;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -84,14 +83,6 @@ class Distribution {
     return values_.empty()
                ? 0.0
                : *std::max_element(values_.begin(), values_.end());
-  }
-
-  double stddev() const {
-    if (values_.size() < 2) return 0.0;
-    const double m = mean();
-    double s = 0;
-    for (double v : values_) s += (v - m) * (v - m);
-    return std::sqrt(s / static_cast<double>(values_.size() - 1));
   }
 
   /// p in [0,1]; nearest-rank percentile.

@@ -1,18 +1,19 @@
-// Sharded simulation engine: the SPSC handoff ring, the cross-shard
-// channel (FIFO + spill backpressure), the deterministic merge of
-// per-shard stats partitions, and the engine-level determinism contracts:
+// Sharded simulation engine: the epoch barrier, the cross-shard channel
+// (FIFO outbox drained at exact arrival times), the deterministic merge
+// of per-shard stats partitions, and the engine-level contracts:
 //
 //   * a fixed shard count reproduces the same digest run over run;
 //   * the ping-pong scenario's digest is identical across shard counts
 //     (the epoch-barrier lockstep proof: a cross-shard link must behave
 //     exactly like the same link inside one loop);
 //   * a cell-local workload's merged simulated metrics are bit-identical
-//     between a single-shard and a multi-shard execution.
+//     between a single-shard and a multi-shard execution;
+//   * a burst of any size within one epoch crosses a channel exactly
+//     once, in order, at its exact arrival time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -27,130 +28,10 @@
 #include "sim/event_loop.h"
 #include "sim/node.h"
 #include "sim/shard.h"
-#include "sim/spsc.h"
 #include "sim/topology.h"
 
 namespace mptcp {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SpscRing.
-// ---------------------------------------------------------------------------
-
-TEST(SpscRing, CapacityAndBackpressure) {
-  SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.empty());
-  for (int i = 0; i < 4; ++i) {
-    int v = i;
-    EXPECT_TRUE(ring.try_push(std::move(v))) << i;
-  }
-  EXPECT_EQ(ring.size(), 4u);
-  int extra = 99;
-  EXPECT_FALSE(ring.try_push(std::move(extra)));  // full: push refused
-  EXPECT_EQ(extra, 99);                           // and operand untouched
-  int out = -1;
-  EXPECT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(ring.try_push(std::move(extra)));  // slot freed by the pop
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  SpscRing<int> ring(5);  // bit_ceil(5) = 8
-  for (int i = 0; i < 8; ++i) {
-    int v = i;
-    EXPECT_TRUE(ring.try_push(std::move(v))) << i;
-  }
-  int v = 8;
-  EXPECT_FALSE(ring.try_push(std::move(v)));
-}
-
-TEST(SpscRing, FifoOrder) {
-  SpscRing<int> ring(16);
-  for (int i = 0; i < 10; ++i) {
-    int v = i;
-    ASSERT_TRUE(ring.try_push(std::move(v)));
-  }
-  for (int i = 0; i < 10; ++i) {
-    int out = -1;
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, FifoAcrossCursorWraparound) {
-  // The cursors are free-running unsigned counters masked on access;
-  // the test-only origin constructor parks them just below the unsigned
-  // maximum so a handful of pushes drives them through the wrap.
-  SpscRing<int> ring(8, /*origin=*/SIZE_MAX - 3);
-  for (int lap = 0; lap < 4; ++lap) {
-    for (int i = 0; i < 6; ++i) {
-      int v = lap * 10 + i;
-      ASSERT_TRUE(ring.try_push(std::move(v)));
-    }
-    for (int i = 0; i < 6; ++i) {
-      int out = -1;
-      ASSERT_TRUE(ring.try_pop(out));
-      EXPECT_EQ(out, lap * 10 + i);
-    }
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, FullRingRefusalsKeepOperandUnderConcurrentPop) {
-  // try_push's full check races a concurrent pop by design (the pop may
-  // free a slot between the check and the return). What must hold on
-  // EVERY refused push is that the operand still carries its value, so
-  // the caller can spill it; a moved-from operand would drop the item.
-  constexpr int kItems = 4000;
-  SpscRing<int> ring(4);
-  std::atomic<bool> done{false};
-  std::vector<int> popped;
-  std::thread consumer([&] {
-    int out = -1;
-    while (!done.load(std::memory_order_acquire) || !ring.empty()) {
-      if (ring.try_pop(out)) popped.push_back(out);
-    }
-  });
-  uint64_t refusals = 0;
-  for (int i = 0; i < kItems; ++i) {
-    int v = i;
-    while (!ring.try_push(std::move(v))) {
-      ++refusals;
-      ASSERT_EQ(v, i);  // refused push must leave the operand intact
-      std::this_thread::yield();  // single-core hosts: let the pop run
-    }
-  }
-  done.store(true, std::memory_order_release);
-  consumer.join();
-  ASSERT_EQ(popped.size(), static_cast<size_t>(kItems));
-  for (int i = 0; i < kItems; ++i) EXPECT_EQ(popped[i], i);
-  // A 4-slot ring against a full-speed producer virtually always refuses
-  // at least once; if not, the assertion above was simply vacuous.
-}
-
-TEST(SpscRing, RebuildGrowsAnEmptyRing) {
-  SpscRing<int> ring(4);
-  for (int i = 0; i < 3; ++i) {
-    int v = i;
-    ASSERT_TRUE(ring.try_push(std::move(v)));
-  }
-  int out = -1;
-  while (ring.try_pop(out)) {
-  }
-  ring.rebuild(64);
-  EXPECT_EQ(ring.capacity(), 64u);
-  for (int i = 0; i < 64; ++i) {
-    int v = i;
-    ASSERT_TRUE(ring.try_push(std::move(v))) << i;
-  }
-  int extra = 99;
-  EXPECT_FALSE(ring.try_push(std::move(extra)));
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // EpochBarrier.
@@ -187,79 +68,60 @@ TEST(EpochBarrier, RoundsStayInLockstepAcrossGenerations) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(SpscRing, CrossThreadVisibilityAndOrder) {
-  constexpr int kItems = 20000;
-  SpscRing<int> ring(64);
-  std::thread producer([&ring] {
-    for (int i = 0; i < kItems; ++i) {
-      int v = i;
-      while (!ring.try_push(std::move(v))) {
-        // spin: the consumer is draining concurrently
-      }
-    }
-  });
-  for (int expect = 0; expect < kItems; ++expect) {
-    int out = -1;
-    while (!ring.try_pop(out)) {
-      // spin until the producer catches up
-    }
-    ASSERT_EQ(out, expect);
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
-}
-
 // ---------------------------------------------------------------------------
 // ShardChannel.
 // ---------------------------------------------------------------------------
 
-/// Records the seq of every delivered segment.
-class SeqCollector : public PacketSink {
+/// Records (arrival virtual time, seq) of every delivered segment.
+class TimedCollector : public PacketSink {
  public:
-  void deliver(TcpSegment seg) override { seqs.push_back(seg.seq); }
-  std::vector<uint32_t> seqs;
+  explicit TimedCollector(EventLoop& loop) : loop_(loop) {}
+  void deliver(TcpSegment seg) override {
+    arrivals.emplace_back(loop_.now(), seg.seq);
+  }
+  std::vector<std::pair<SimTime, uint32_t>> arrivals;
+
+ private:
+  EventLoop& loop_;
 };
 
 TEST(ShardChannel, DrainDeliversInOrderAtArrivalTime) {
+  // Two epochs' worth of send-then-drain: each drain must schedule its
+  // segments at their exact arrival times, in send order, and the
+  // outbox emptied by the first drain must carry the second epoch's
+  // segments on its own -- no leftovers, no repeats.
   EventLoop loop;
-  ShardChannel ch(/*src_shard=*/0, /*dst_shard=*/1, loop,
-                  /*ring_capacity=*/16);
-  SeqCollector sink;
+  ShardChannel ch(/*src_shard=*/0, /*dst_shard=*/1, loop);
+  TimedCollector sink(loop);
   ch.set_target(&sink);
 
-  for (uint32_t i = 0; i < 5; ++i) {
-    TcpSegment seg;
-    seg.seq = i;
-    ch.send(/*arrival=*/kMillisecond + i, std::move(seg));
-  }
+  const auto send_epoch = [&ch](uint32_t first, SimTime base) {
+    for (uint32_t i = 0; i < 5; ++i) {
+      TcpSegment seg;
+      seg.seq = first + i;
+      ch.send(/*arrival=*/base + i, std::move(seg));
+    }
+  };
+  send_epoch(0, kMillisecond);
   EXPECT_EQ(ch.pushed(), 5u);
   EXPECT_EQ(ch.drain(), 5u);
-  EXPECT_TRUE(sink.seqs.empty());  // scheduled, not yet executed
-  loop.run_until(2 * kMillisecond);
-  ASSERT_EQ(sink.seqs.size(), 5u);
-  for (uint32_t i = 0; i < 5; ++i) EXPECT_EQ(sink.seqs[i], i);
+  EXPECT_TRUE(sink.arrivals.empty());  // scheduled, not yet executed
   EXPECT_EQ(ch.delivered(), 5u);
-}
-
-TEST(ShardChannel, OverflowSpillPreservesFifo) {
-  EventLoop loop;
-  ShardChannel ch(0, 1, loop, /*ring_capacity=*/4);
-  SeqCollector sink;
-  ch.set_target(&sink);
-
-  // 10 sends into a 4-slot ring: 4 land in the ring, 6 spill to the
-  // producer-side overflow. Drain must restore the original order.
-  for (uint32_t i = 0; i < 10; ++i) {
-    TcpSegment seg;
-    seg.seq = i;
-    ch.send(kMillisecond, std::move(seg));
-  }
-  EXPECT_EQ(ch.pushed(), 10u);
-  EXPECT_EQ(ch.spilled(), 6u);
-  EXPECT_EQ(ch.drain(), 10u);
   loop.run_until(2 * kMillisecond);
-  ASSERT_EQ(sink.seqs.size(), 10u);
-  for (uint32_t i = 0; i < 10; ++i) EXPECT_EQ(sink.seqs[i], i);
+
+  send_epoch(5, 3 * kMillisecond);
+  EXPECT_EQ(ch.pushed(), 10u);
+  EXPECT_EQ(ch.drain(), 5u);
+  EXPECT_EQ(ch.drain(), 0u);  // nothing sent since: an empty drain
+  EXPECT_EQ(ch.delivered(), 10u);
+  loop.run_until(4 * kMillisecond);
+
+  ASSERT_EQ(sink.arrivals.size(), 10u);
+  for (uint32_t i = 0; i < 10; ++i) {
+    const SimTime base = i < 5 ? kMillisecond : 3 * kMillisecond;
+    EXPECT_EQ(sink.arrivals[i].first, base + i % 5) << i;
+    EXPECT_EQ(sink.arrivals[i].second, i);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -346,7 +208,7 @@ DigestResult pingpong(size_t shards) {
 }
 
 TEST(ShardedEngine, PingPongDigestIdenticalAcrossShardCounts) {
-  // The lockstep proof: with shards=2 every packet crosses an SPSC
+  // The lockstep proof: with shards=2 every packet crosses a shard
   // channel and an epoch barrier; the digest (packet headers + payload
   // bytes, in delivery order, per direction) must still equal the
   // single-loop reference exactly. shards=4 adds two node-less shards
@@ -542,19 +404,6 @@ struct CrossPinger {
   }
 };
 
-/// Records (arrival virtual time, seq) of every delivered segment.
-class TimedCollector : public PacketSink {
- public:
-  explicit TimedCollector(EventLoop& loop) : loop_(loop) {}
-  void deliver(TcpSegment seg) override {
-    arrivals.emplace_back(loop_.now(), seg.seq);
-  }
-  std::vector<std::pair<SimTime, uint32_t>> arrivals;
-
- private:
-  EventLoop& loop_;
-};
-
 TEST(ShardedEngine, IdleEpochsSkipDrainsWithoutLosingSegments) {
   // Both shards stay busy with local ticks every quantum, so epochs keep
   // running at the fixed cadence; cross traffic flows one direction only,
@@ -592,7 +441,65 @@ TEST(ShardedEngine, IdleEpochsSkipDrainsWithoutLosingSegments) {
     EXPECT_EQ(sink.arrivals[i].second, i);
   }
   EXPECT_EQ(engine.handoff_packets(), ping.sent);
-  EXPECT_EQ(engine.handoff_spills(), 0u);
+}
+
+/// Sends `count` segments into `out` in one deliver_burst() call, seqs
+/// first..first+count-1.
+void send_burst(Link& out, uint32_t first, uint32_t count) {
+  std::vector<TcpSegment> burst(count);
+  for (uint32_t i = 0; i < count; ++i) burst[i].seq = first + i;
+  out.deliver_burst(burst.data(), burst.size());
+}
+
+TEST(ShardedEngine, BurstOfThousandsInOneEpochArrivesOnceInOrder) {
+  // 12,000 segments each way leave within a single epoch -- far more than
+  // any fixed-size handoff queue would hold between two barriers. The
+  // outbox must carry all of them to the next drain: every segment
+  // arrives exactly once, in send order, at its departure time plus the
+  // propagation delay.
+  constexpr uint32_t kBurst = 12000;
+  Topology topo(/*seed=*/1, /*shards=*/2);
+  const NodeId a = topo.add_host("a", 0);
+  const NodeId b = topo.add_host("b", 1);
+  LinkConfig cfg;
+  cfg.rate_bps = 1e9;
+  cfg.prop_delay = 50 * kMillisecond;
+  cfg.buffer_bytes = 1 << 20;  // holds a whole burst of bare headers
+  const size_t l = topo.connect(a, b, cfg, cfg);
+  ASSERT_EQ(topo.channels().size(), 2u);
+  TimedCollector at_b(topo.loop(1));
+  TimedCollector at_a(topo.loop(0));
+  topo.channels()[0]->set_target(&at_b);  // a->b direction
+  topo.channels()[1]->set_target(&at_a);  // b->a direction
+
+  const SimTime kick = 1 * kMillisecond;
+  topo.loop(0).schedule_at(kick,
+                           [&] { send_burst(topo.link_ab(l), 0, kBurst); });
+  topo.loop(1).schedule_at(
+      kick, [&] { send_burst(topo.link_ba(l), kBurst, kBurst); });
+
+  ShardedEngine engine(topo);
+  engine.run_until(kick + 2 * cfg.prop_delay);
+  EXPECT_EQ(engine.handoff_packets(), 2u * kBurst);
+
+  // Header-only segments serialize back to back from the kick, so the
+  // i-th departs once i+1 of them have left the wire -- all within the
+  // first 50 ms epoch.
+  const double tx_seconds =
+      static_cast<double>(TcpSegment{}.wire_size()) * 8.0 / cfg.rate_bps;
+  const SimTime per_seg =
+      static_cast<SimTime>(tx_seconds * static_cast<double>(kSecond));
+  ASSERT_LT(kick + kBurst * per_seg, cfg.prop_delay);
+  for (const auto* sink : {&at_b, &at_a}) {
+    const uint32_t first = sink == &at_b ? 0 : kBurst;
+    ASSERT_EQ(sink->arrivals.size(), kBurst);
+    for (uint32_t i = 0; i < kBurst; ++i) {
+      ASSERT_EQ(sink->arrivals[i].second, first + i) << i;
+      ASSERT_EQ(sink->arrivals[i].first,
+                kick + (i + 1) * per_seg + cfg.prop_delay)
+          << i;
+    }
+  }
 }
 
 /// One bursty cross-shard run: traffic active the first fifth of each
