@@ -9,7 +9,9 @@
 //   * a cell-local workload's merged simulated metrics are bit-identical
 //     between a single-shard and a multi-shard execution;
 //   * a burst of any size within one epoch crosses a channel exactly
-//     once, in order, at its exact arrival time.
+//     once, in order, at its exact arrival time;
+//   * a segment still in an outbox when run_until() returns arrives on
+//     time in the next run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -121,6 +123,238 @@ TEST(ShardChannel, DrainDeliversInOrderAtArrivalTime) {
     const SimTime base = i < 5 ? kMillisecond : 3 * kMillisecond;
     EXPECT_EQ(sink.arrivals[i].first, base + i % 5) << i;
     EXPECT_EQ(sink.arrivals[i].second, i);
+  }
+}
+
+TEST(ShardChannel, DrainIntoPartlyDeliveredPendingKeepsFifo) {
+  // The second drain lands while the first one's segments are still
+  // half-delivered: its arrivals must queue behind the remainder, and
+  // every segment must still fire once, in send order, on time.
+  EventLoop loop;
+  ShardChannel ch(0, 1, loop);
+  TimedCollector sink(loop);
+  ch.set_target(&sink);
+
+  for (uint32_t i = 0; i < 10; ++i) {
+    TcpSegment seg;
+    seg.seq = i;
+    ch.send(kMillisecond + i, std::move(seg));
+    if (i == 4) {
+      EXPECT_EQ(ch.drain(), 5u);
+      loop.run_until(kMillisecond + 2);  // delivers seqs 0..2 only
+      EXPECT_EQ(sink.arrivals.size(), 3u);
+    }
+  }
+  EXPECT_EQ(ch.drain(), 5u);
+  loop.run_until(2 * kMillisecond);
+
+  ASSERT_EQ(sink.arrivals.size(), 10u);
+  for (uint32_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(sink.arrivals[i].first, kMillisecond + i) << i;
+    EXPECT_EQ(sink.arrivals[i].second, i);
+  }
+  EXPECT_EQ(ch.pushed(), 10u);
+  EXPECT_EQ(ch.delivered(), 10u);
+}
+
+TEST(ShardChannel, EmptyDrainSchedulesNothing) {
+  // The engine's drain-skip proof assumes an outbox with nothing pushed
+  // since the last drain puts nothing on the destination loop.
+  EventLoop loop;
+  ShardChannel ch(0, 1, loop);
+  TimedCollector sink(loop);
+  ch.set_target(&sink);
+  EXPECT_EQ(ch.drain(), 0u);
+  EXPECT_EQ(loop.next_event_time(), kSimTimeNever);
+
+  TcpSegment seg;
+  ch.send(kMillisecond, std::move(seg));
+  EXPECT_EQ(ch.drain(), 1u);
+  EXPECT_EQ(loop.next_event_time(), kMillisecond);
+  loop.run_until(kMillisecond);
+  EXPECT_EQ(ch.drain(), 0u);
+  EXPECT_EQ(loop.next_event_time(), kSimTimeNever);
+  EXPECT_EQ(sink.arrivals.size(), 1u);
+}
+
+/// Records the size of every deliver_burst() call plus the seqs.
+class BurstRecorder : public PacketSink {
+ public:
+  void deliver(TcpSegment seg) override { deliver_burst(&seg, 1); }
+  void deliver_burst(TcpSegment* segs, size_t n) override {
+    bursts.push_back(n);
+    for (size_t i = 0; i < n; ++i) seqs.push_back(segs[i].seq);
+  }
+  std::vector<size_t> bursts;
+  std::vector<uint32_t> seqs;
+};
+
+TEST(ShardChannel, EachEqualArrivalRunIsOneBurst) {
+  // Segments sharing an arrival time reach the target in one
+  // deliver_burst() call, in send order; a new arrival time starts a
+  // new burst.
+  EventLoop loop;
+  ShardChannel ch(0, 1, loop);
+  BurstRecorder sink;
+  ch.set_target(&sink);
+  const SimTime at[] = {kMillisecond, kMillisecond, kMillisecond,
+                        kMillisecond + 1, 2 * kMillisecond,
+                        2 * kMillisecond, 2 * kMillisecond,
+                        2 * kMillisecond};
+  for (uint32_t i = 0; i < std::size(at); ++i) {
+    TcpSegment seg;
+    seg.seq = i;
+    ch.send(at[i], std::move(seg));
+  }
+  EXPECT_EQ(ch.drain(), std::size(at));
+  loop.run_until(3 * kMillisecond);
+  EXPECT_EQ(sink.bursts, (std::vector<size_t>{3, 1, 4}));
+  EXPECT_EQ(sink.seqs, (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+/// Keeps every delivered segment whole.
+class SegmentKeeper : public PacketSink {
+ public:
+  void deliver(TcpSegment seg) override { segs.push_back(std::move(seg)); }
+  std::vector<TcpSegment> segs;
+};
+
+TEST(ShardChannel, SendDetachesPayloadFromProducerBuffers) {
+  // Payload refcounts are not atomic, so a handed-off segment must not
+  // share a block with anything the producer still holds -- neither a
+  // whole buffer nor a subview of one -- and must carry the same bytes.
+  EventLoop loop;
+  ShardChannel ch(0, 1, loop);
+  SegmentKeeper sink;
+  ch.set_target(&sink);
+
+  std::vector<uint8_t> bytes(100);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 7);
+  }
+  const Payload held(bytes);
+  TcpSegment whole;
+  whole.payload = held;
+  TcpSegment part;
+  part.payload = held.subview(10, 20);
+  ASSERT_EQ(held.buffer_refs(), 3u);
+  ch.send(kMillisecond, std::move(whole));
+  ch.send(kMillisecond + 1, std::move(part));
+  EXPECT_EQ(held.buffer_refs(), 1u);  // both segments let go of it
+
+  ch.drain();
+  loop.run_until(2 * kMillisecond);
+  ASSERT_EQ(sink.segs.size(), 2u);
+  const Payload& got_whole = sink.segs[0].payload;
+  const Payload& got_part = sink.segs[1].payload;
+  EXPECT_EQ(got_whole, held);
+  EXPECT_EQ(got_part, held.subview(10, 20));
+  EXPECT_EQ(got_whole.buffer_refs(), 1u);
+  EXPECT_EQ(got_part.buffer_refs(), 1u);
+  EXPECT_NE(got_whole.data(), held.data());
+  EXPECT_NE(got_part.data(), held.data() + 10);
+}
+
+TEST(ShardChannel, UntargetedChannelFreesDrainedPayloads) {
+  // A channel nobody has aimed yet still counts and schedules its
+  // segments; delivery drops them, and their payload blocks go with them.
+  const Payload::LiveStats before = Payload::live_stats();
+  {
+    EventLoop loop;
+    ShardChannel ch(0, 1, loop);
+    for (uint32_t i = 0; i < 16; ++i) {
+      TcpSegment seg;
+      seg.seq = i;
+      seg.payload = Payload(64, static_cast<uint8_t>(i));
+      ch.send(kMillisecond + i, std::move(seg));
+    }
+    EXPECT_GT(Payload::live_stats().blocks, before.blocks);
+    EXPECT_EQ(ch.drain(), 16u);
+    loop.run_until(2 * kMillisecond);
+    EXPECT_EQ(ch.pushed(), 16u);
+    EXPECT_EQ(ch.delivered(), 16u);
+    EXPECT_EQ(loop.next_event_time(), kSimTimeNever);
+    EXPECT_EQ(Payload::live_stats().blocks, before.blocks);
+  }
+  EXPECT_EQ(Payload::live_stats().blocks, before.blocks);
+}
+
+/// Checks each delivered segment's payload against the pattern its seq
+/// was sent with, and records (arrival, seq).
+class PatternChecker : public PacketSink {
+ public:
+  explicit PatternChecker(EventLoop& loop) : loop_(loop) {}
+  static Payload pattern(uint32_t seq) {
+    std::vector<uint8_t> b(8 + seq % 24);
+    for (size_t i = 0; i < b.size(); ++i) {
+      b[i] = static_cast<uint8_t>(seq * 31 + i);
+    }
+    return Payload(b);
+  }
+  void deliver(TcpSegment seg) override {
+    if (seg.payload != pattern(seg.seq)) ++corrupt;
+    arrivals.emplace_back(loop_.now(), seg.seq);
+  }
+  std::vector<std::pair<SimTime, uint32_t>> arrivals;
+  uint64_t corrupt = 0;
+
+ private:
+  EventLoop& loop_;
+};
+
+TEST(ShardChannel, ProducerThreadHandoffIsOrderedByTheBarrierAlone) {
+  // The engine's protocol with real threads and nothing else: the
+  // producer appends a whole epoch's segments (anywhere from none to a
+  // few hundred), both sides cross the barrier, the consumer drains
+  // while the producer is parked at the second barrier. The barrier is
+  // the only synchronization, so under ThreadSanitizer this is the proof
+  // that the outbox needs none of its own; in any build, every segment
+  // must arrive once, in order, at its exact time, with its bytes.
+  constexpr uint32_t kEpochs = 200;
+  constexpr SimTime kQuantum = kMillisecond;
+  const auto epoch_size = [](uint32_t e) { return (e * 37) % 301; };
+  EventLoop loop;
+  ShardChannel ch(0, 1, loop);
+  PatternChecker sink(loop);
+  ch.set_target(&sink);
+  EpochBarrier barrier(2);
+
+  std::thread producer([&] {
+    uint32_t seq = 0;
+    for (uint32_t e = 0; e < kEpochs; ++e) {
+      const SimTime next_epoch = (e + 1) * kQuantum;
+      for (uint32_t i = 0; i < epoch_size(e); ++i, ++seq) {
+        TcpSegment seg;
+        seg.seq = seq;
+        seg.payload = PatternChecker::pattern(seq);
+        ch.send(next_epoch + i, std::move(seg));
+      }
+      barrier.arrive_and_wait();
+      barrier.arrive_and_wait();
+    }
+  });
+  uint64_t drained = 0;
+  for (uint32_t e = 0; e < kEpochs; ++e) {
+    barrier.arrive_and_wait();
+    drained += ch.drain();
+    barrier.arrive_and_wait();
+    loop.run_until((e + 2) * kQuantum - 1);
+  }
+  producer.join();
+
+  uint32_t total = 0;
+  for (uint32_t e = 0; e < kEpochs; ++e) total += epoch_size(e);
+  EXPECT_EQ(drained, total);
+  EXPECT_EQ(ch.pushed(), total);
+  EXPECT_EQ(ch.delivered(), total);
+  EXPECT_EQ(sink.corrupt, 0u);
+  ASSERT_EQ(sink.arrivals.size(), total);
+  uint32_t seq = 0;
+  for (uint32_t e = 0; e < kEpochs; ++e) {
+    for (uint32_t i = 0; i < epoch_size(e); ++i, ++seq) {
+      ASSERT_EQ(sink.arrivals[seq].second, seq);
+      ASSERT_EQ(sink.arrivals[seq].first, (e + 1) * kQuantum + i) << seq;
+    }
   }
 }
 
@@ -500,6 +734,142 @@ TEST(ShardedEngine, BurstOfThousandsInOneEpochArrivesOnceInOrder) {
           << i;
     }
   }
+}
+
+TEST(ShardedEngine, EqualArrivalsFromTwoChannelsDrainInLinkOrder) {
+  // Two shards burst into a third at the same instants over identical
+  // links. Equal arrival times on the destination loop are broken by
+  // drain order, which is channel (link creation) order, each channel
+  // FIFO: a's i-th segment, then b's i-th, for every i -- and the same
+  // on every run.
+  const auto run = [] {
+    Topology topo(/*seed=*/1, /*shards=*/3);
+    const NodeId a = topo.add_host("a", 0);
+    const NodeId b = topo.add_host("b", 1);
+    const NodeId c = topo.add_host("c", 2);
+    LinkConfig cfg;
+    cfg.rate_bps = 1e9;
+    cfg.prop_delay = 5 * kMillisecond;
+    cfg.buffer_bytes = 1 << 20;
+    const size_t la = topo.connect(a, c, cfg, cfg);
+    const size_t lb = topo.connect(b, c, cfg, cfg);
+    TimedCollector at_c(topo.loop(2));
+    for (const auto& ch : topo.channels()) {
+      if (ch->dst_shard() == 2) ch->set_target(&at_c);
+    }
+    topo.loop(0).schedule_at(
+        kMillisecond, [&] { send_burst(topo.link_ab(la), 0, 3); });
+    topo.loop(1).schedule_at(
+        kMillisecond, [&] { send_burst(topo.link_ab(lb), 100, 3); });
+    ShardedEngine engine(topo);
+    engine.run_until(20 * kMillisecond);
+    EXPECT_EQ(engine.handoff_packets(), 6u);
+    return at_c.arrivals;
+  };
+  const std::vector<std::pair<SimTime, uint32_t>> first = run();
+  ASSERT_EQ(first.size(), 6u);
+  std::vector<uint32_t> seqs;
+  for (const auto& arrival : first) seqs.push_back(arrival.second);
+  EXPECT_EQ(seqs, (std::vector<uint32_t>{0, 100, 1, 101, 2, 102}));
+  for (size_t i = 0; i < first.size(); i += 2) {
+    EXPECT_EQ(first[i].first, first[i + 1].first) << i;
+  }
+  EXPECT_EQ(run(), first);
+}
+
+/// Bounces every delivered segment back over `back`, recording arrivals.
+class Echo : public PacketSink {
+ public:
+  Echo(EventLoop& loop, Link& back) : loop_(loop), back_(back) {}
+  void deliver(TcpSegment seg) override {
+    arrivals.emplace_back(loop_.now(), seg.seq);
+    back_.deliver(std::move(seg));
+  }
+  std::vector<std::pair<SimTime, uint32_t>> arrivals;
+
+ private:
+  EventLoop& loop_;
+  Link& back_;
+};
+
+/// Ping cadence and propagation delay of the echo runs.
+constexpr SimTime kPingStep = 2 * kMillisecond;
+
+struct EchoRun {
+  std::vector<std::pair<SimTime, uint32_t>> at_b;
+  std::vector<std::pair<SimTime, uint32_t>> at_a;
+  /// run_until() calls that ended with segments still in an outbox.
+  int parked_ends = 0;
+};
+
+/// a sends one ping to b every 2 ms (= the link's propagation delay)
+/// and b echoes each ping straight back; the links serialize in zero
+/// virtual time. With `cut`, the caller schedules each ping at the
+/// current time and runs exactly one propagation delay: the ping's
+/// arrival is drained at that run's last barrier and fires at its end,
+/// so the echo is handed off after the last drain and must wait in the
+/// outbox for the next run. Without `cut`, every ping is scheduled up
+/// front and one run covers them all.
+EchoRun run_echo(bool cut) {
+  constexpr uint32_t kPings = 15;
+  Topology topo(/*seed=*/1, /*shards=*/2);
+  const NodeId a = topo.add_host("a", 0);
+  const NodeId b = topo.add_host("b", 1);
+  LinkConfig cfg;
+  cfg.rate_bps = 1e15;  // a header serializes in under a nanosecond
+  cfg.prop_delay = kPingStep;
+  cfg.buffer_bytes = 1 << 20;
+  const size_t l = topo.connect(a, b, cfg, cfg);
+  Echo echo(topo.loop(1), topo.link_ba(l));
+  TimedCollector at_a(topo.loop(0));
+  topo.channels()[0]->set_target(&echo);  // a->b direction
+  topo.channels()[1]->set_target(&at_a);  // b->a direction
+  Link* out = &topo.link_ab(l);
+  const auto schedule_ping = [&topo, out](uint32_t k) {
+    topo.loop(0).schedule_at(k * kPingStep, [out, k] {
+      TcpSegment seg;
+      seg.seq = k;
+      out->deliver(std::move(seg));
+    });
+  };
+
+  ShardedEngine engine(topo);
+  EchoRun out_run;
+  const auto run_to = [&](SimTime t) {
+    engine.run_until(t);
+    for (const auto& ch : topo.channels()) {
+      if (ch->pushed() != ch->delivered()) {
+        ++out_run.parked_ends;
+        break;
+      }
+    }
+  };
+  for (uint32_t k = 0; k < kPings; ++k) {
+    schedule_ping(k);
+    if (cut) run_to((k + 1) * kPingStep);
+  }
+  run_to((kPings + 2) * kPingStep);
+  out_run.at_b = std::move(echo.arrivals);
+  out_run.at_a = std::move(at_a.arrivals);
+  return out_run;
+}
+
+TEST(ShardedEngine, SegmentsParkedAtRunEndArriveOnTimeInTheNextRun) {
+  // Cutting one run into many must not move a single arrival -- even
+  // when every cut leaves an echo in the outbox as run_until() returns.
+  const EchoRun whole = run_echo(/*cut=*/false);
+  const EchoRun cut = run_echo(/*cut=*/true);
+
+  EXPECT_EQ(whole.parked_ends, 0);
+  EXPECT_EQ(cut.parked_ends, 15);  // every cut, none at the final stop
+  ASSERT_EQ(whole.at_b.size(), 15u);
+  ASSERT_EQ(whole.at_a.size(), 15u);
+  for (uint32_t k = 0; k < 15; ++k) {
+    EXPECT_EQ(whole.at_b[k], std::make_pair((k + 1) * kPingStep, k));
+    EXPECT_EQ(whole.at_a[k], std::make_pair((k + 2) * kPingStep, k));
+  }
+  EXPECT_EQ(cut.at_b, whole.at_b);
+  EXPECT_EQ(cut.at_a, whole.at_a);
 }
 
 /// One bursty cross-shard run: traffic active the first fifth of each
