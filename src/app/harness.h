@@ -55,8 +55,9 @@ class TwoHostRig {
 
   /// Splices a middlebox into the client->server (up) or server->client
   /// (down) direction of path `i`. The element's downstream is wired to
-  /// whatever the link previously delivered to, so repeated splices build
-  /// a chain in call order (closest to the link first).
+  /// whatever the link previously delivered to, so repeated splices nest
+  /// as Topology::splice_ab's do: the most recently spliced element sits
+  /// directly after the link and sees packets first.
   void splice_up(size_t i, Middlebox& element);
   void splice_down(size_t i, Middlebox& element);
 

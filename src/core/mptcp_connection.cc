@@ -73,8 +73,8 @@ void MptcpConnection::register_stats() {
   // One registry entry for the whole scope: the hot paths keep bumping
   // plain fields, this callback reads them only when someone exports.
   reg.sampled_group(stats_scope_, [this](SampleSink& out) {
-    out.emit("scheduler_picks", static_cast<double>(n_scheduler_picks_));
-    out.emit("dss_mappings_emitted", static_cast<double>(n_dss_mappings_));
+    out.emit("scheduler_picks", static_cast<double>(scheduler_->picks()));
+    out.emit("dss_mappings_emitted", static_cast<double>(dss_mappings()));
     out.emit("data_ack_advances", static_cast<double>(n_data_ack_advances_));
     out.emit("data_acked_bytes", static_cast<double>(n_data_acked_bytes_));
     out.emit("window_stalls", static_cast<double>(n_window_stalls_));
@@ -112,8 +112,6 @@ void MptcpConnection::register_stats() {
     reg.sampled_group(scope, [this](SampleSink& out) {
       out.emit("picks", static_cast<double>(scheduler_->picks()));
       out.emit("allocs", static_cast<double>(scheduler_->allocs()));
-      out.emit("state_entries",
-               static_cast<double>(scheduler_->state_entries()));
     });
   }
 }
@@ -158,7 +156,6 @@ void MptcpConnection::init_client_keys() {
   idsn_local_ = kt.idsn;
   snd_base_d_ = idsn_local_ + 1;
   meta_snd_.reset(snd_base_d_);
-  meta_snd_end_ = snd_base_d_;
   snd_una_d_ = snd_nxt_d_ = snd_base_d_;
 }
 
@@ -195,7 +192,6 @@ void MptcpConnection::accept(const TcpSegment& syn) {
     idsn_local_ = kt.idsn;
     snd_base_d_ = idsn_local_ + 1;
     meta_snd_.reset(snd_base_d_);
-    meta_snd_end_ = snd_base_d_;
     snd_una_d_ = snd_nxt_d_ = snd_base_d_;
   } else {
     // Plain TCP client (or MPTCP disabled here): serve it as TCP.
@@ -271,7 +267,6 @@ size_t MptcpConnection::write(std::span<const uint8_t> bytes) {
         bytes.first(std::min(bytes.size(), fallback_room())));
   }
   const size_t n = meta_snd_.append(bytes, meta_snd_capacity_);
-  meta_snd_end_ = meta_snd_.end_seq();
   if (n > 0) schedule();
   return n;
 }
@@ -433,16 +428,6 @@ void MptcpConnection::sf_closed(MptcpSubflow* sf, bool reset) {
     if (end > begin) reinject_range(begin, end - begin);
     rec.subflow_id = SIZE_MAX;
   }
-  // Drop every per-subflow map entry keyed by the dead subflow's id (ids
-  // are never reused, so stale entries would accumulate forever on
-  // connections that churn subflows).
-  scheduler_->on_subflow_closed(sf->id());
-  next_penalty_at_.erase(sf->id());
-  last_acked_by_sf_.erase(sf->id());
-  last_delivered_by_sf_.erase(sf->id());
-  rx_bytes_by_sf_.erase(sf->id());
-  tx_rate_bps_.erase(sf->id());
-  rx_rate_bps_.erase(sf->id());
   bool any_open = false;
   for (const auto& s : subflows_) {
     if (s->state() != TcpState::kClosed) any_open = true;
@@ -535,11 +520,11 @@ void MptcpConnection::sf_mapped_data(MptcpSubflow* sf, uint64_t dsn,
 
   if (dsn == rcv_nxt_d_) {
     rcv_nxt_d_ += bytes.size();
-    rx_bytes_by_sf_[sf->id()] += bytes.size();
+    sf->path_state().rx_bytes += bytes.size();
     deliver_in_order(std::move(bytes));
     drain_meta_ooo();
   } else {
-    rx_bytes_by_sf_[sf->id()] += bytes.size();
+    sf->path_state().rx_bytes += bytes.size();
     meta_recv_.insert(dsn, std::move(bytes), sf->id(), rcv_nxt_d_);
   }
   check_data_fin_consumption();
@@ -657,12 +642,20 @@ size_t MptcpConnection::receiver_memory() const {
   return n;
 }
 
+// The per-subflow sums below are lifetime totals: subflows_ is never
+// erased from, so a closed subflow's count stays in the sum.
 uint64_t MptcpConnection::cc_cap_activations() const {
   uint64_t caps = 0;
   for (const auto& sf : subflows_) {
     caps += sf->congestion_control().cap_activations();
   }
   return caps;
+}
+
+uint64_t MptcpConnection::dss_mappings() const {
+  uint64_t n = 0;
+  for (const auto& sf : subflows_) n += sf->dss_mappings();
+  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -770,10 +763,10 @@ void MptcpConnection::window_blocked(MptcpSubflow* fast) {
     for (auto& sf : subflows_) {
       if (sf->id() != rec0.subflow_id || !sf->mptcp_usable()) continue;
       const SimTime now = stack_.loop().now();
-      auto it = next_penalty_at_.find(sf->id());
-      if (it == next_penalty_at_.end() || now >= it->second) {
+      SimTime& next_penalty_at = sf->path_state().next_penalty_at;
+      if (now >= next_penalty_at) {
         sf->congestion_control().penalize();
-        next_penalty_at_[sf->id()] = now + std::max(sf->srtt(), kMillisecond);
+        next_penalty_at = now + std::max(sf->srtt(), kMillisecond);
         ++meta_stats_.penalizations;
       }
       break;
@@ -782,7 +775,7 @@ void MptcpConnection::window_blocked(MptcpSubflow* fast) {
 }
 
 void MptcpConnection::reinject_range(uint64_t dsn, uint64_t len) {
-  reinject_.emplace_back(dsn, len);
+  reinject_.push_back({dsn, len});
 }
 
 // ---------------------------------------------------------------------------
@@ -844,11 +837,12 @@ void MptcpConnection::autotune_tick() {
   SimTime rtt_max_tx = 0, rtt_max_rx = 0;
   for (const auto& sf : subflows_) {
     if (!sf->mptcp_usable()) continue;
+    MptcpSubflow::PathState& ps = sf->path_state();
     // Sender-side rate: subflow-acked bytes per second (EMA smoothed).
     const uint64_t acked = sf->stats().bytes_acked;
-    const uint64_t d_acked = acked - last_acked_by_sf_[sf->id()];
-    last_acked_by_sf_[sf->id()] = acked;
-    double& tx = tx_rate_bps_[sf->id()];
+    const uint64_t d_acked = acked - ps.acked_at_tick;
+    ps.acked_at_tick = acked;
+    double& tx = ps.tx_rate_bps;
     const double inst_tx =
         static_cast<double>(d_acked) * 8.0 * kSecond / static_cast<double>(dt);
     tx = tx == 0 ? inst_tx : 0.75 * tx + 0.25 * inst_tx;
@@ -856,10 +850,9 @@ void MptcpConnection::autotune_tick() {
     if (tx > 0) rtt_max_tx = std::max(rtt_max_tx, sf->srtt());
 
     // Receiver-side rate: delivered mapped bytes per second.
-    const uint64_t recvd = rx_bytes_by_sf_[sf->id()];
-    const uint64_t d_recvd = recvd - last_delivered_by_sf_[sf->id()];
-    last_delivered_by_sf_[sf->id()] = recvd;
-    double& rx = rx_rate_bps_[sf->id()];
+    const uint64_t d_recvd = ps.rx_bytes - ps.rx_at_tick;
+    ps.rx_at_tick = ps.rx_bytes;
+    double& rx = ps.rx_rate_bps;
     const double inst_rx =
         static_cast<double>(d_recvd) * 8.0 * kSecond /
         static_cast<double>(dt);
@@ -905,7 +898,5 @@ void MptcpConnection::notify_closed_once() {
   if (on_closed) on_closed();
   if (auto_destroy_) stack_.destroy_later(this);
 }
-
-void MptcpConnection::maybe_finish_teardown() {}
 
 }  // namespace mptcp

@@ -22,8 +22,8 @@
 //    insertion algorithms (section 4.3).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -98,7 +98,7 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   uint32_t remote_token() const { return remote_token_; }
 
   uint64_t data_acked() const { return snd_una_d_; }
-  uint64_t data_written() const { return meta_snd_end_ - snd_base_d_; }
+  uint64_t data_written() const { return meta_snd_.end_seq() - snd_base_d_; }
   uint64_t data_delivered() const { return delivered_bytes_; }
   uint64_t bytes_in_flight_meta() const { return snd_nxt_d_ - snd_una_d_; }
 
@@ -129,13 +129,13 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   uint64_t autotune_resizes() const { return n_autotune_resizes_; }
   /// Mechanism 4 firings: summed cwnd-cap activations across subflows.
   uint64_t cc_cap_activations() const;
+  /// DSS mappings emitted, summed across subflows.
+  uint64_t dss_mappings() const;
 
   /// Scope prefix of this connection in the loop's StatsRegistry
   /// ("mptcp.client", "mptcp.server#2", ...); subflows publish under
   /// "<scope>.sf<id>".
   const std::string& stats_scope() const { return stats_scope_; }
-  /// Called by subflows for every DSS mapping they emit.
-  void count_dss_mapping() { ++n_dss_mappings_; }
 
   MptcpStack& stack() { return stack_; }
   const MptcpConfig& config() const { return config_; }
@@ -192,8 +192,9 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   /// and the meta RTO. M1/M2 fire from the policy's window-stall hook.
   void schedule();
 
-  /// The connection's scheduling policy instance (owns rotation/cursor
-  /// state; exposes pick/alloc counters and state_entries()).
+  /// The connection's scheduling policy instance (owns the round-robin
+  /// rotation; exposes pick/alloc counters). Per-subflow policy state
+  /// lives in each subflow's PathState.
   Scheduler& scheduler() { return *scheduler_; }
   /// This connection viewed through the scheduler's host interface (for
   /// tests and benches that drive a policy against live send state).
@@ -205,13 +206,14 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
     return subflows_;
   }
   uint64_t sched_batch_bytes() const override {
-    return uint64_t{config_.batch_segments} * config_.tcp.mss;
+    // At least one segment, so every scheduler pass moves data.
+    return std::max<uint64_t>(config_.batch_segments, 1) * config_.tcp.mss;
   }
   uint64_t sched_snd_una() const override { return snd_una_d_; }
   uint64_t sched_snd_nxt() const override { return snd_nxt_d_; }
   uint64_t sched_stream_end() const override { return meta_snd_.end_seq(); }
   uint64_t sched_window_edge() const override { return meta_right_edge_; }
-  std::deque<std::pair<uint64_t, uint64_t>>& sched_reinject() override {
+  Fifo<std::pair<uint64_t, uint64_t>>& sched_reinject() override {
     return reinject_;
   }
   Payload sched_slice(uint64_t dsn, size_t len) override {
@@ -224,10 +226,6 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   }
   void sched_count_reinjected(uint64_t bytes) override {
     meta_stats_.reinjected_bytes += bytes;
-  }
-  void sched_note_pick(MptcpSubflow& sf) override {
-    ++n_scheduler_picks_;
-    sf.note_scheduler_pick();
   }
   void sched_window_blocked(MptcpSubflow& fast) override {
     window_blocked(&fast);
@@ -244,7 +242,6 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   void deliver_in_order(Payload bytes);
   void drain_meta_ooo();
   void check_data_fin_consumption();
-  void maybe_finish_teardown();
   void maybe_send_meta_window_update();
   void window_blocked(MptcpSubflow* fast);
   uint64_t total_subflow_flight() const;
@@ -283,7 +280,6 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   // --- sender state (data sequence space) -----------------------------------
   SendBuffer meta_snd_;
   uint64_t snd_base_d_ = 0;   ///< first data byte's dsn (idsn_local + 1)
-  uint64_t meta_snd_end_ = 0; ///< == meta_snd_.end_seq(), tracked for stats
   uint64_t snd_una_d_ = 0;    ///< DATA_ACK received
   uint64_t snd_nxt_d_ = 0;    ///< next dsn to allocate to a subflow
   size_t meta_snd_capacity_ = 0;
@@ -293,10 +289,9 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
     size_t subflow_id;
   };
   std::map<uint64_t, Alloc> alloc_;  ///< dsn -> allocation record
-  std::deque<std::pair<uint64_t, uint64_t>> reinject_;  ///< (dsn, len)
+  Fifo<std::pair<uint64_t, uint64_t>> reinject_;  ///< (dsn, len)
   uint64_t reinjected_until_ = 0;  ///< M1 high-water mark (monotonic)
   std::unique_ptr<Scheduler> scheduler_;  ///< policy + its private state
-  std::map<size_t, SimTime> next_penalty_at_;  ///< per-subflow M2 limiter
   Timer meta_rto_timer_;
   int meta_rto_backoff_ = 1;
 
@@ -318,11 +313,6 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
 
   // --- autotuning (M3) --------------------------------------------------------
   Timer autotune_timer_;
-  std::map<size_t, uint64_t> last_acked_by_sf_;
-  std::map<size_t, uint64_t> last_delivered_by_sf_;
-  std::map<size_t, uint64_t> rx_bytes_by_sf_;
-  std::map<size_t, double> tx_rate_bps_;  ///< per-subflow EMA
-  std::map<size_t, double> rx_rate_bps_;
   SimTime last_autotune_ = 0;
 
   MetaStats meta_stats_;
@@ -333,8 +323,6 @@ class MptcpConnection final : public StreamSocket, private SchedulerHost {
   // destructor. Connection churn therefore costs one registry insert and
   // one erase, however many values the scope exposes.
   std::string stats_scope_;
-  uint64_t n_scheduler_picks_ = 0;
-  uint64_t n_dss_mappings_ = 0;
   uint64_t n_data_ack_advances_ = 0;
   uint64_t n_data_acked_bytes_ = 0;
   uint64_t n_window_stalls_ = 0;

@@ -1,7 +1,7 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
-#include <map>
+#include <cassert>
 
 #include "core/subflow.h"
 
@@ -26,9 +26,13 @@ void Scheduler::allocate(uint64_t /*dsn*/, uint64_t /*len*/,
   ++allocs_;
 }
 
-void Scheduler::on_subflow_closed(size_t /*sf_id*/) {}
-
-size_t Scheduler::state_entries() const { return 0; }
+void Scheduler::send_chunk(MptcpSubflow& sf, uint64_t dsn, Payload bytes) {
+  ++picks_;
+  sf.note_scheduler_pick();
+  allocate(dsn, bytes.size(), sf);
+  sf.push_mapped(dsn, std::move(bytes));
+  sf.try_send();
+}
 
 MptcpSubflow* Scheduler::lowest_rtt_pick(SchedulerHost& host,
                                          uint64_t min_space,
@@ -65,25 +69,25 @@ void Scheduler::run(SchedulerHost& h) {
     // Re-injections (from dead subflows or the meta RTO) go first.
     auto& reinject = h.sched_reinject();
     if (!reinject.empty()) {
-      auto [dsn, len] = reinject.front();
-      reinject.pop_front();
+      auto& [dsn, len] = reinject.front();
       const uint64_t begin = std::max(dsn, h.sched_snd_una());
       const uint64_t end = dsn + len;
-      if (end <= begin) continue;
-      uint64_t n = std::min<uint64_t>({end - begin, sf->cwnd_space(),
-                                       batch_bytes});
-      if (n == 0) {
-        reinject.push_front({begin, end - begin});
-        break;
+      if (end <= begin) {  // already DATA_ACKed
+        reinject.pop_front();
+        continue;
       }
-      Payload bytes = h.sched_slice(begin, static_cast<size_t>(n));
+      // pick(h, 1) only returns a subflow with window room.
+      const uint64_t n = std::min<uint64_t>({end - begin, sf->cwnd_space(),
+                                             batch_bytes});
+      assert(n > 0);
+      if (begin + n < end) {
+        dsn = begin + n;  // trim the entry in place; the rest stays first
+        len = end - dsn;
+      } else {
+        reinject.pop_front();
+      }
       h.sched_count_reinjected(n);
-      ++picks_;
-      h.sched_note_pick(*sf);
-      allocate(begin, n, *sf);
-      sf->push_mapped(begin, std::move(bytes));
-      sf->try_send();
-      if (begin + n < end) reinject.push_front({begin + n, end - begin - n});
+      send_chunk(*sf, begin, h.sched_slice(begin, static_cast<size_t>(n)));
       continue;
     }
 
@@ -109,11 +113,7 @@ void Scheduler::run(SchedulerHost& h) {
 
     Payload bytes = h.sched_slice(snd_nxt, static_cast<size_t>(n));
     h.sched_record_alloc(snd_nxt, n, sf->id());
-    ++picks_;
-    h.sched_note_pick(*sf);
-    allocate(snd_nxt, n, *sf);
-    sf->push_mapped(snd_nxt, std::move(bytes));
-    sf->try_send();
+    send_chunk(*sf, snd_nxt, std::move(bytes));
   }
 }
 
@@ -181,7 +181,7 @@ class RedundantScheduler final : public Scheduler {
 
   void allocate(uint64_t dsn, uint64_t len, MptcpSubflow& sf) override {
     Scheduler::allocate(dsn, len, sf);
-    cursor_[sf.id()] = dsn + len;
+    sf.path_state().redundant_next = dsn + len;
   }
 
   void run(SchedulerHost& h) override {
@@ -192,7 +192,7 @@ class RedundantScheduler final : public Scheduler {
         // The cursor never runs behind the cumulative DATA_ACK: data
         // below snd_una is already delivered, duplicating it is waste.
         const uint64_t ptr =
-            std::max(cursor_[sf->id()], h.sched_snd_una());
+            std::max(sf->path_state().redundant_next, h.sched_snd_una());
         const uint64_t limit =
             std::min(h.sched_stream_end(), h.sched_window_edge());
         if (ptr >= limit) break;
@@ -207,24 +207,10 @@ class RedundantScheduler final : public Scheduler {
         } else {
           h.sched_count_reinjected(n);  // a duplicate copy
         }
-        ++picks_;
-        h.sched_note_pick(*sf);
-        allocate(ptr, n, *sf);
-        sf->push_mapped(ptr, std::move(bytes));
-        sf->try_send();
+        send_chunk(*sf, ptr, std::move(bytes));
       }
     }
   }
-
-  void on_subflow_closed(size_t sf_id) override { cursor_.erase(sf_id); }
-
-  size_t state_entries() const override { return cursor_.size(); }
-
- private:
-  /// Per-subflow cursor into the data sequence space. Entries are erased
-  /// on subflow teardown (ids are never reused, so a stale entry would
-  /// be a leak, never a correctness bug).
-  std::map<size_t, uint64_t> cursor_;
 };
 
 /// Lowest-RTT over primaries, but spills to the best backup whenever

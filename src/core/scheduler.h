@@ -14,8 +14,10 @@
 //
 // Split of responsibilities (mirrors the protocol/sched split Linux MPTCP
 // later adopted):
-//   * Scheduler  -- WHICH subflow carries WHAT data. Owns all policy
-//     state (round-robin cursor, redundant per-subflow stream cursors).
+//   * Scheduler  -- WHICH subflow carries WHAT data. Owns connection-wide
+//     policy state (the round-robin rotation); per-subflow policy state
+//     (the redundant policy's stream position) lives in the subflow's
+//     PathState, so it dies with the subflow.
 //   * SchedulerHost -- the narrow view of MptcpConnection a policy may
 //     touch: the data-sequence send state, the re-injection queue, and
 //     the window-stall hook that drives Mechanisms 1/2. Policies cannot
@@ -26,13 +28,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string_view>
 #include <utility>
 
 #include "net/payload.h"
+#include "tcp/tcp_buffers.h"
 
 namespace mptcp {
 
@@ -65,7 +67,7 @@ class SchedulerHost {
   /// Pending re-injection ranges (dsn, len), oldest first: data owed by
   /// dead subflows or resurrected by the meta RTO. Re-injections are
   /// served before any fresh allocation.
-  virtual std::deque<std::pair<uint64_t, uint64_t>>& sched_reinject() = 0;
+  virtual Fifo<std::pair<uint64_t, uint64_t>>& sched_reinject() = 0;
   /// Zero-copy view of [dsn, dsn+len) from the connection-level send
   /// buffer (the bytes stay owned by the buffer until DATA_ACKed).
   virtual Payload sched_slice(uint64_t dsn, size_t len) = 0;
@@ -76,8 +78,6 @@ class SchedulerHost {
   /// Accounts `bytes` of duplicate transmission (re-injections, redundant
   /// copies).
   virtual void sched_count_reinjected(uint64_t bytes) = 0;
-  /// Per-connection and per-subflow pick accounting (observability).
-  virtual void sched_note_pick(MptcpSubflow& sf) = 0;
   /// The shared window is full while `fast` still has congestion window
   /// to spare: the section 4.2 stall that triggers Mechanisms 1/2.
   virtual void sched_window_blocked(MptcpSubflow& fast) = 0;
@@ -113,13 +113,6 @@ class Scheduler {
   /// One full scheduling pass over the connection's send state.
   virtual void run(SchedulerHost& host);
 
-  /// Subflow teardown: drop any per-subflow policy state (cursors).
-  virtual void on_subflow_closed(size_t sf_id);
-
-  /// Per-subflow policy-state entries currently held. Must return to its
-  /// pre-subflow baseline after subflow churn (leak tripwire for tests).
-  virtual size_t state_entries() const;
-
   // --- observability (exported under "<conn>.sched.<policy>" when
   // MptcpConfig::sched_stats is set) -----------------------------------
   uint64_t picks() const { return picks_; }
@@ -137,6 +130,10 @@ class Scheduler {
   static MptcpSubflow* lowest_rtt_pick(SchedulerHost& host,
                                        uint64_t min_space,
                                        bool spill_on_block);
+
+  /// Hands the chunk `bytes` at data sequence `dsn` to `sf` and kicks
+  /// its send path; counts the pick and runs allocate().
+  void send_chunk(MptcpSubflow& sf, uint64_t dsn, Payload bytes);
 
   uint64_t picks_ = 0;   ///< successful picks taken by run()
   uint64_t allocs_ = 0;  ///< chunks allocated through allocate()

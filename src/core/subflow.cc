@@ -57,7 +57,6 @@ void MptcpSubflow::register_stats() {
 
 void MptcpSubflow::push_mapped(uint64_t dsn, Payload bytes) {
   ++n_mappings_;
-  meta_.count_dss_mapping();
   MappingRecord rec;
   rec.ssn_begin = snd_buf_end();
   rec.ssn_rel = static_cast<uint32_t>(rec.ssn_begin - iss());

@@ -108,6 +108,22 @@ class MptcpSubflow final : public TcpConnection {
 
   /// The meta scheduler chose this subflow for a chunk of data.
   void note_scheduler_pick() { ++n_picks_; }
+  /// DSS mappings created on this subflow.
+  uint64_t dss_mappings() const { return n_mappings_; }
+
+  /// Per-path state the connection-level mechanisms (section 4.2) and the
+  /// scheduler keep for this subflow. Zero until first used; it dies with
+  /// the subflow, so subflow churn needs no cleanup.
+  struct PathState {
+    SimTime next_penalty_at = 0;   ///< M2: no penalization before this
+    uint64_t acked_at_tick = 0;    ///< M3: bytes_acked at the last tick
+    uint64_t rx_bytes = 0;         ///< M3: mapped bytes taken by the meta
+    uint64_t rx_at_tick = 0;       ///< M3: rx_bytes at the last tick
+    double tx_rate_bps = 0;        ///< M3: EMA of the acked rate
+    double rx_rate_bps = 0;        ///< M3: EMA of the received rate
+    uint64_t redundant_next = 0;   ///< redundant policy: next dsn to copy
+  };
+  PathState& path_state() { return path_state_; }
 
  protected:
   // --- TcpConnection hooks --------------------------------------------------
@@ -161,6 +177,7 @@ class MptcpSubflow final : public TcpConnection {
   std::string stats_scope_;
   uint64_t n_mappings_ = 0;  ///< DSS mappings created on this subflow
   uint64_t n_picks_ = 0;     ///< times the scheduler chose us
+  PathState path_state_;
 };
 
 }  // namespace mptcp

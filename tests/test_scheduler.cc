@@ -108,9 +108,72 @@ TEST(SchedulerFactory, MakesEveryPolicy) {
     EXPECT_EQ(s->policy(), p);
     EXPECT_EQ(s->picks(), 0u);
     EXPECT_EQ(s->allocs(), 0u);
-    EXPECT_EQ(s->state_entries(), 0u);
     EXPECT_NE(to_string(p), "?");
   }
+}
+
+// --- re-injection queue -----------------------------------------------------
+
+/// A subflow that dies holding several batches of un-ACKed data leaves
+/// what it owed in the connection's re-injection queue (section 3.3: the
+/// bytes are freed only by DATA_ACK). Its path goes down with it, so the
+/// queued copies are the only way those bytes reach the peer. The
+/// surviving subflow is congestion-window limited, so the queue drains
+/// over many scheduler passes, each trimming the front entry in place;
+/// the receiver must get the complete stream, pattern-intact, without the
+/// meta retransmission timer having to step in.
+TEST(Reinjection, DeadSubflowsDataDrainsOverSeveralPasses) {
+  constexpr uint64_t kTotal = 3'000'000;
+  TwoHostRig rig;
+  rig.add_path(wifi_path());
+  rig.add_path(threeg_path());
+  MptcpConfig cfg;
+  cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 2'000'000;
+  cfg.opportunistic_retransmit = false;  // queue drains are the only copies
+  MptcpStack cs(rig.client(), cfg);
+  MptcpStack ss(rig.server(), cfg);
+  std::unique_ptr<BulkReceiver> rx;
+  ss.listen(80, [&](MptcpConnection& c) {
+    rx = std::make_unique<BulkReceiver>(c);
+  });
+  MptcpConnection& cc =
+      cs.connect(rig.client_addr(0), {rig.server_addr(), 80});
+  BulkSender tx(cc, kTotal);
+
+  // Run until the 3G subflow holds several batches it has not had ACKed.
+  const uint64_t batch = uint64_t{cfg.batch_segments} * cfg.tcp.mss;
+  MptcpSubflow* victim = nullptr;
+  while (victim == nullptr && rig.loop().now() < 5 * kSecond) {
+    rig.loop().run_until(rig.loop().now() + 10 * kMillisecond);
+    MptcpSubflow* sf = cc.subflow(1);
+    if (sf != nullptr && sf->mptcp_usable() &&
+        sf->flight_size() + sf->unsent_bytes() >= 4 * batch) {
+      victim = sf;
+    }
+  }
+  ASSERT_NE(victim, nullptr) << "3G subflow never held four batches";
+  const uint64_t owed = victim->flight_size() + victim->unsent_bytes();
+
+  const MptcpConnection::MetaStats before = cc.meta_stats();
+  rig.set_path_up(1, false);  // what the 3G link still queues is lost
+  victim->abort();  // its owed ranges enter the queue; one pass runs now
+  const uint64_t first_pass =
+      cc.meta_stats().reinjected_bytes - before.reinjected_bytes;
+  EXPECT_EQ(cc.usable_subflow_count(), 1u);
+  rig.loop().run_until(rig.loop().now() + 20 * kSecond);
+  const uint64_t drained =
+      cc.meta_stats().reinjected_bytes - before.reinjected_bytes;
+
+  EXPECT_LT(first_pass, owed) << "the survivor's window took it all at once";
+  EXPECT_GT(drained, first_pass) << "the queue never drained on later passes";
+  EXPECT_GT(drained, 2 * batch) << "the owed batches were not re-injected";
+  EXPECT_LE(drained, owed) << "a queued range was sent more than once";
+  EXPECT_EQ(cc.meta_stats().meta_rtx_timeouts, before.meta_rtx_timeouts)
+      << "owed bytes left the queue only after a meta RTO";
+  ASSERT_NE(rx, nullptr);
+  EXPECT_EQ(rx->bytes_received(), kTotal);
+  EXPECT_TRUE(rx->saw_eof());
+  EXPECT_TRUE(rx->pattern_ok());
 }
 
 // --- backup-aware policy ----------------------------------------------------
