@@ -67,7 +67,7 @@ double run_two_path(bool mptcp_enabled, uint64_t size) {
 
 double run_bonding(uint64_t size) {
   EventLoop loop;
-  Network net;
+  Classifier net;
   Host client(loop, "client"), server(loop, "server");
   const IpAddr caddr(10, 0, 0, 2), saddr(10, 99, 0, 1);
 
@@ -90,8 +90,8 @@ double run_bonding(uint64_t size) {
   sbond.add_leg(&down2);
   client.add_interface(caddr, &cbond);
   server.add_interface(saddr, &sbond);
-  net.attach(caddr, &client);
-  net.attach(saddr, &server);
+  net.add_route(caddr, &client);
+  net.add_route(saddr, &server);
   server.set_cpu(server_cpu());
 
   SocketFactory cs(client, http_config(false));

@@ -138,7 +138,7 @@ int main() {
     Outcome o = run_case(2, [](TwoHostRig& rig) {
       rig.splice_up(1, nat.forward_sink());
       rig.route_server_to(nat.public_addr(), 1);
-      rig.network().attach(nat.public_addr(), &nat.reverse_sink());
+      rig.network().add_route(nat.public_addr(), &nat.reverse_sink());
       nat.reverse_sink().set_downstream(&rig.network());
     });
     report("NAT on join path", o);

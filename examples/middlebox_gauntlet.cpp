@@ -47,7 +47,7 @@ int main() {
   rig.splice_up(1, nat.forward_sink());
   rig.splice_up(1, alg);
   rig.route_server_to(nat.public_addr(), 1);
-  rig.network().attach(nat.public_addr(), &nat.reverse_sink());
+  rig.network().add_route(nat.public_addr(), &nat.reverse_sink());
   nat.reverse_sink().set_downstream(&rig.network());
 
   MptcpConfig cfg;

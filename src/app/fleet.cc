@@ -117,19 +117,6 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
   fc.transport.mptcp.tcp.buf_initial = 4 * 1024;
   fc.transport.mptcp.cap_subflow_cwnd = true;
 
-  if (spec_.serving_rate_hz > 0) {
-    // Serving mode: the island's class becomes open-loop framed requests
-    // over a pooled persistent connection to the island server.
-    fc.app_mode = FlowClass::AppMode::kServing;
-    fc.request_rate_hz = spec_.serving_rate_hz;
-    fc.arrival_rate_hz = 0;
-    fc.persistent_per_client = 0;
-    fc.size_dist = FlowClass::SizeDist::kPareto;
-    fc.server.max_inflight = spec_.serving_max_inflight;
-    fc.server.service.kind = ServiceTimeModel::Kind::kExponential;
-    fc.server.service.mean = kMillisecond;
-  }
-
   islands_.reserve(profiles_.size());
   for (const ClientProfile& p : profiles_) {
     const std::string prefix = island_prefix(p.index);
@@ -200,20 +187,6 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
     wc.on_flow_done = [this, shard = isl.shard](StreamSocket& s,
                                                 const FlowReport& r) {
       record_flow(shard, s, r);
-    };
-    // Serving-mode islands complete *requests*, not one-shot flows, so
-    // their outcomes arrive through the pool's request hook instead of
-    // on_flow_done. Fold them into the same shard accumulator.
-    wc.on_request_done = [this, shard = isl.shard](size_t,
-                                                   const RequestOutcome& o) {
-      ShardAcc& acc = accs_[shard];
-      if (o.ok) {
-        ++acc.completed;
-        acc.fct_us.push_back(
-            static_cast<uint64_t>((o.done_at - o.issued_at) / 1000));
-      } else {
-        ++acc.errored;
-      }
     };
     // The server is the data sender, so M1-M4 mostly fire on *its*
     // connections; harvest their counters before the server closes them.

@@ -82,16 +82,6 @@ struct FleetSpec {
   double arrival_rate_hz = 2.0;
   uint64_t mean_size = 50 * 1000;
   size_t persistent_per_client = 1;
-
-  /// Serving-stack mode (app/server_app.h + app/client_pool.h): when
-  /// serving_rate_hz > 0 every island switches from the legacy
-  /// connection-per-transfer closed loop to open-loop framed requests
-  /// with heavy-tailed Pareto sizes over a persistent connection pool,
-  /// against an overload-aware island server. Off by default -- the
-  /// pinned fleet digest covers the legacy mode and these knobs leave
-  /// it untouched at zero.
-  double serving_rate_hz = 0.0;     ///< open-loop requests per client
-  size_t serving_max_inflight = 0;  ///< island-server admission cap
 };
 
 /// One sampled access path of one client.
@@ -196,7 +186,6 @@ class FleetEngine {
     return islands_[i].shape.paths[k];
   }
   WorkloadEngine& island_engine(size_t i);
-  Nat* island_nat(size_t i, size_t k);
 
   /// Islands pinned per shard, in shard order.
   std::vector<size_t> shard_occupancy() const;
@@ -230,6 +219,7 @@ class FleetEngine {
     std::vector<uint64_t> fct_us;
   };
 
+  Nat* island_nat(size_t i, size_t k);
   void record_flow(size_t shard, StreamSocket& s, const FlowReport& r);
   void fold_connection(ShardAcc& acc, MptcpConnection& conn);
   void fold_sender(ShardAcc& acc, MptcpConnection& conn);

@@ -15,7 +15,8 @@
 //    the requests of one connection are returned in request order; the
 //    echoed req_id lets the client assert that ordering.
 //
-//      request  (32 B): 'MPRQ' ver flags rsvd16 req_id8 size8 chunk4 rsvd4
+//      request  (32 B): 'MPRQ' ver rsvd8 rsvd16 req_id8 size8 chunk4 rsvd4
+//        (reserved bytes 5..7 and 28..31 are written 0, ignored on decode)
 //      response (16 B per frame): kind4 payload_len4 req_id8
 //        kind = 'MPRD' data frame (payload_len pattern bytes follow)
 //             | 'MPRF' fin frame (payload_len == 0, response complete)
@@ -58,11 +59,14 @@ inline constexpr uint32_t kFrameData = 0x4d505244;    // 'MPRD'
 inline constexpr uint32_t kFrameFin = 0x4d505246;     // 'MPRF'
 inline constexpr uint32_t kFrameReject = 0x4d50524a;  // 'MPRJ'
 
+/// Response data-frame payload quantum a client asks for by default.
+inline constexpr uint32_t kDefaultChunkBytes = 16 * 1024;
+
 struct ServingRequest {
   uint64_t req_id = 0;
   uint64_t response_size = 0;
-  uint32_t chunk_bytes = 16 * 1024;  ///< server frame payload quantum
-  bool streaming = false;            ///< flag bit 0: adaptive-stream segment
+  /// Server data-frame payload quantum.
+  uint32_t chunk_bytes = kDefaultChunkBytes;
 };
 
 /// Encodes the fixed 32-byte serving request.
@@ -108,11 +112,6 @@ class FrameReader {
   /// from inside the callbacks' completion paths (re-entrancy is cut by
   /// the pumping_ latch: the outer pump loop picks up the new bytes).
   void pump(StreamSocket& s);
-
-  /// Bytes of the current frame's payload not yet delivered (0 between
-  /// frames). A reader dying mid-frame means the peer quit mid-response.
-  uint32_t payload_remaining() const { return remaining_; }
-  bool mid_frame() const { return in_payload_ && remaining_ > 0; }
 
  private:
   FrameHeader hdr_;

@@ -75,7 +75,7 @@ PathSpec capped_threeg_path(double loss) {
 TwoHostRig::TwoHostRig(uint64_t seed)
     : client_(loop_, "client"), server_(loop_, "server"), seed_(seed) {
   server_.add_interface(server_addr_, &server_out_);
-  net_.attach(server_addr_, &server_);
+  net_.add_route(server_addr_, &server_);
 }
 
 size_t TwoHostRig::add_path(const PathSpec& spec) {
@@ -94,7 +94,7 @@ size_t TwoHostRig::add_path(const PathSpec& spec) {
   p.down->set_target(&net_);
 
   client_.add_interface(p.client_addr, p.up.get());
-  net_.attach(p.client_addr, &client_);
+  net_.add_route(p.client_addr, &client_);
   server_out_.add_route(p.client_addr, p.down.get());
 
   paths_.push_back(std::move(p));

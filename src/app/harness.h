@@ -64,7 +64,9 @@ class TwoHostRig {
   EventLoop& loop() { return loop_; }
   Host& client() { return client_; }
   Host& server() { return server_; }
-  Network& network() { return net_; }
+  /// The core: routes by destination address to the client, the server,
+  /// or any address a test adds (a NAT's public side, a proxy).
+  Classifier& network() { return net_; }
 
   /// The simulation-wide stats registry (owned by the event loop). Every
   /// component in the rig registers its counters here; see net/stats.h.
@@ -97,7 +99,7 @@ class TwoHostRig {
   };
 
   EventLoop loop_;
-  Network net_;
+  Classifier net_;
   Host client_;
   Host server_;
   Classifier server_out_;

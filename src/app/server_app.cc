@@ -57,21 +57,13 @@ void ServerApp::Conn::parse_requests() {
         pipeline.size() >= self->cfg_.max_pipeline;
     const bool server_full = self->cfg_.max_inflight != 0 &&
                              self->inflight_ >= self->cfg_.max_inflight;
+    sock->consume(kServingRequestSize);
     if (pipeline_full || server_full) {
-      if (self->cfg_.overload == ServingConfig::Overload::kDefer) {
-        // Leave the request bytes unconsumed: the transport's receive
-        // window closes over them and the client stalls -- backpressure
-        // without a byte of reply.
-        deferred = true;
-        return;
-      }
-      // Reject path: the request is consumed and answered with a reject
-      // frame *in pipeline order* (a 503 still honors response ordering).
-      sock->consume(kServingRequestSize);
+      // Reject path: the request is answered with a reject frame *in
+      // pipeline order* (a 503 still honors response ordering).
       ++self->rejected_;
       pipeline.push_back(PendingReq{req, /*rejected=*/true});
     } else {
-      sock->consume(kServingRequestSize);
       ++self->inflight_;
       self->peak_inflight_ = std::max(self->peak_inflight_, self->inflight_);
       pipeline.push_back(PendingReq{req, /*rejected=*/false});
@@ -121,9 +113,11 @@ void ServerApp::Conn::pump_response() {
       }
       self->finish_request(*this, /*served=*/false);
     } else if (response_sent < size) {
+      // chunk_bytes comes off the wire; 0 would never finish the
+      // response, so it means the default quantum.
       const uint32_t quantum = front.req.chunk_bytes != 0
                                    ? front.req.chunk_bytes
-                                   : self->cfg_.chunk_bytes;
+                                   : kDefaultChunkBytes;
       const size_t n = static_cast<size_t>(
           std::min<uint64_t>(quantum, size - response_sent));
       frame_buf.resize(kFrameHeaderSize + n);
@@ -175,19 +169,7 @@ void ServerApp::finish_request(Conn& c, bool served) {
   c.response_sent = 0;
   c.tail_sent_ = false;
   if (served) ++served_;
-  if (admitted) {
-    --inflight_;
-    resume_deferred();
-  }
-}
-
-void ServerApp::resume_deferred() {
-  for (auto& c : conns_) {
-    if (c->deferred && !c->dead) {
-      c->deferred = false;
-      c->parse_requests();
-    }
-  }
+  if (admitted) --inflight_;
 }
 
 void ServerApp::for_each_conn(
@@ -199,17 +181,14 @@ void ServerApp::for_each_conn(
 
 void ServerApp::reap(Conn* conn) {
   // Requests admitted on this connection will never be answered: give
-  // their admission slots back so other connections can make progress.
-  size_t admitted = 0;
+  // their admission slots back to other connections' future requests.
   for (const PendingReq& p : conn->pipeline) {
-    if (!p.rejected) ++admitted;
+    if (!p.rejected) --inflight_;
   }
-  inflight_ -= admitted;
   if (conn->service) conn->service->cancel();
   std::erase_if(conns_, [conn](const std::unique_ptr<Conn>& c) {
     return c.get() == conn;
   });
-  if (admitted > 0) resume_deferred();
 }
 
 }  // namespace mptcp

@@ -13,6 +13,9 @@ namespace {
 /// outlast any simulated run (2 TB).
 constexpr uint64_t kPersistentBytes = 1ULL << 41;
 
+/// Shape of the FlowClass::SizeDist::kPareto size distribution.
+constexpr double kParetoAlpha = 1.5;
+
 /// Declares one capacity cell (workload.h) on `scn`, every node pinned to
 /// `shard` and named `prefix` + its role: routers agg-a, agg-b and core,
 /// the dual-homed clients, bottleneck-a and bottleneck-b, then the
@@ -154,14 +157,6 @@ WorkloadEngine::WorkloadEngine(Topology& topo, WorkloadConfig cfg)
       return sum_servers(
           [](const ServerApp& s) { return s.conns_refused(); });
     });
-    if (cs.spec.app_mode == FlowClass::AppMode::kStreaming) {
-      reg.sampled(cs.scope + ".rebuffers",
-                  [p] { return static_cast<double>(p->rebuffers); });
-      reg.sampled(cs.scope + ".ladder_up",
-                  [p] { return static_cast<double>(p->ladder_up); });
-      reg.sampled(cs.scope + ".ladder_down",
-                  [p] { return static_cast<double>(p->ladder_down); });
-    }
   }
   reg.sampled(cfg_.scope_prefix + "workload.concurrent",
               [this] { return static_cast<double>(flows_.size()); });
@@ -301,19 +296,10 @@ uint64_t WorkloadEngine::sample_size(const FlowClass& spec, Rng& rng) {
     }
     case FlowClass::SizeDist::kPareto: {
       // Heavy-tailed sizes with the requested mean: xm = mean(a-1)/a.
-      const double a = std::max(1.05, spec.pareto_alpha);
+      constexpr double a = kParetoAlpha;
       const double xm = static_cast<double>(spec.mean_size) * (a - 1.0) / a;
       const double u = 1.0 - rng.next_double();  // (0, 1]
       const double v = xm / std::pow(u, 1.0 / a);
-      return std::clamp(static_cast<uint64_t>(v), spec.min_size,
-                        spec.max_size);
-    }
-    case FlowClass::SizeDist::kLognormal: {
-      // mu chosen so E[X] = mean for the configured sigma.
-      const double sigma = spec.lognorm_sigma;
-      const double mu = std::log(static_cast<double>(spec.mean_size)) -
-                        sigma * sigma / 2.0;
-      const double v = std::exp(mu + sigma * rng.next_normal());
       return std::clamp(static_cast<uint64_t>(v), spec.min_size,
                         spec.max_size);
     }
@@ -431,7 +417,7 @@ void WorkloadEngine::for_each_open_server_conn(
 }
 
 // ---------------------------------------------------------------------------
-// Serving-stack paths (kServing / kStreaming classes)
+// Serving-stack paths (kServing classes)
 // ---------------------------------------------------------------------------
 
 void WorkloadEngine::start_serving_slot(ClientSlot& slot, uint64_t gid) {
@@ -462,45 +448,19 @@ void WorkloadEngine::start_serving_slot(ClientSlot& slot, uint64_t gid) {
     if (!stopped_) raw->pool->start();
   });
 
-  if (spec.app_mode == FlowClass::AppMode::kServing) {
-    slot.arrival = std::make_unique<Timer>(topo_.loop(cfg_.shard),
-                                           [this, raw] {
-      if (stopped_) return;
-      submit_request(*raw);
-      schedule_arrival(*raw);
-    });
-    schedule_arrival(slot);
-  } else {  // kStreaming
-    slot.streams.resize(spec.streams_per_client);
-    for (size_t i = 0; i < slot.streams.size(); ++i) {
-      const SimTime at =
-          static_cast<SimTime>(slot.rng.next_below(1000)) * kMillisecond;
-      topo_.loop(cfg_.shard).schedule_in(at, [this, raw, i] {
-        if (!stopped_) submit_segment(*raw, i);
-      });
-    }
-  }
+  slot.arrival = std::make_unique<Timer>(topo_.loop(cfg_.shard),
+                                         [this, raw] {
+    if (stopped_) return;
+    submit_request(*raw);
+    schedule_arrival(*raw);
+  });
+  schedule_arrival(slot);
 }
 
 void WorkloadEngine::submit_request(ClientSlot& slot) {
   ClassState& cls = classes_[slot.cls];
   ++cls.started;
   slot.pool->submit(sample_size(cls.spec, slot.rng));
-}
-
-void WorkloadEngine::submit_segment(ClientSlot& slot, size_t stream) {
-  ClassState& cls = classes_[slot.cls];
-  const FlowClass& spec = cls.spec;
-  Stream& st = slot.streams[stream];
-  const uint64_t bps = spec.bitrate_ladder_bps.empty()
-                           ? 1'000'000
-                           : spec.bitrate_ladder_bps[st.ladder];
-  const uint64_t bytes = std::max<uint64_t>(
-      1, bps * static_cast<uint64_t>(spec.segment_duration) /
-             (8ULL * kSecond));
-  ++cls.started;
-  const uint64_t id = slot.pool->submit(bytes, /*streaming=*/true);
-  slot.req_stream.emplace(id, stream);
 }
 
 void WorkloadEngine::on_request_outcome(ClientSlot& slot,
@@ -519,32 +479,6 @@ void WorkloadEngine::on_request_outcome(ClientSlot& slot,
     ++cls.errors;
   }
   if (cfg_.on_request_done) cfg_.on_request_done(slot.cls, out);
-
-  // Adaptive-streaming reaction: compare the segment's FCT against its
-  // media duration and walk the bitrate ladder.
-  const auto it = slot.req_stream.find(out.req_id);
-  if (it == slot.req_stream.end()) return;
-  const size_t stream = it->second;
-  slot.req_stream.erase(it);
-  Stream& st = slot.streams[stream];
-  const FlowClass& spec = cls.spec;
-  const SimTime fct = out.done_at - out.issued_at;
-  if (!out.ok || fct > spec.segment_duration) {
-    if (out.ok || !out.rejected) {
-      // A slow or failed segment stalls playback; a reject is the server
-      // shedding load before any bytes moved, so only the ladder reacts.
-      ++cls.rebuffers;
-    }
-    if (st.ladder > 0) {
-      --st.ladder;
-      ++cls.ladder_down;
-    }
-  } else if (2 * fct < spec.segment_duration &&
-             st.ladder + 1 < spec.bitrate_ladder_bps.size()) {
-    ++st.ladder;
-    ++cls.ladder_up;
-  }
-  if (!stopped_) submit_segment(slot, stream);
 }
 
 size_t WorkloadEngine::outstanding_requests(size_t cls) const {

@@ -1,7 +1,7 @@
 // Many-connection workload engine: open-loop traffic over a Topology.
 //
 // The WorkloadEngine models *load*, not a fixed client count, in one of
-// three per-class application modes:
+// two per-class application modes:
 //
 //  * kConnectionPerTransfer (the legacy shape): each class opens new
 //    connections from every client host as a Poisson process, draws a
@@ -15,17 +15,12 @@
 //  * kServing (the production serving stack): each (client, class) pair
 //    keeps a ConnectionPool of persistent connections to one server
 //    running a ServerApp, and *requests* -- not connections -- arrive
-//    open-loop as a Poisson process with heavy-tailed (Pareto or
-//    lognormal) response sizes. Request FCTs, including pool queueing
-//    delay, land in a fine-grained histogram whose p50/p99/p999 are the
-//    tail-latency SLO numbers; server rejections (503s) are counted per
-//    class. set_rate_scale() steps the request rate mid-run, which is
-//    how the flash-crowd benchmark drives a x10 load spike.
-//
-//  * kStreaming (adaptive-streaming clients): fixed sessions per client
-//    fetch segment after segment over the same pools, moving up or down
-//    a bitrate ladder by comparing each segment's FCT against the
-//    segment duration, and counting rebuffer events (FCT > duration).
+//    open-loop as a Poisson process with heavy-tailed (Pareto) response
+//    sizes. Request FCTs, including pool queueing delay, land in a
+//    fine-grained histogram whose p50/p99/p999 are the tail-latency SLO
+//    numbers; server rejections (503s) are counted per class.
+//    set_rate_scale() steps the request rate mid-run, which is how the
+//    flash-crowd benchmark drives a x10 load spike.
 //
 // Every class carries its own TransportConfig (TCP vs MPTCP, buffer
 // sizes, subflow policy) and an optional path set -- the subset of each
@@ -68,46 +63,34 @@ struct FlowClass {
   /// kConnectionPerTransfer only.
   double arrival_rate_hz = 10.0;
 
-  enum class SizeDist : uint8_t { kFixed, kExponential, kPareto, kLognormal };
+  /// kPareto has shape 1.5 and the configured mean.
+  enum class SizeDist : uint8_t { kFixed, kExponential, kPareto };
   SizeDist size_dist = SizeDist::kFixed;
   uint64_t mean_size = 100 * 1000;        ///< bytes fetched per flow
   uint64_t min_size = 1000;               ///< clamp for the random dists
   uint64_t max_size = 100 * 1000 * 1000;  ///< clamp for the random dists
-  double pareto_alpha = 1.5;    ///< kPareto shape (heavier tail toward 1)
-  double lognorm_sigma = 1.0;   ///< kLognormal log-space spread
 
   /// Long-lived connections opened per client host at start(); they fetch
   /// an effectively infinite response and stay up for the whole run.
   /// kConnectionPerTransfer only.
   size_t persistent_per_client = 0;
 
-  // --- serving-stack modes --------------------------------------------
+  // --- serving-stack mode ---------------------------------------------
 
   enum class AppMode : uint8_t {
     kConnectionPerTransfer,  ///< legacy MPGET, one connection per flow
     kServing,                ///< open-loop requests over connection pools
-    kStreaming,              ///< adaptive-streaming sessions over pools
   };
   AppMode app_mode = AppMode::kConnectionPerTransfer;
 
   /// Open-loop request arrival rate per client host (kServing; Poisson).
   double request_rate_hz = 100.0;
-  /// Client pool shape for kServing/kStreaming (connections, mux limit,
-  /// retry budget).
+  /// Client pool shape for kServing (connections, mux limit, retry
+  /// budget).
   PoolConfig pool;
-  /// Server-side serving knobs for kServing/kStreaming (admission bounds,
-  /// overload behavior, service-time model).
+  /// Server-side serving knobs for kServing (admission bounds,
+  /// service-time model).
   ServingConfig server;
-
-  /// kStreaming: concurrent sessions per client host.
-  size_t streams_per_client = 1;
-  /// kStreaming: media seconds per fetched segment.
-  SimTime segment_duration = 2 * kSecond;
-  /// kStreaming: bitrate ladder (bps), lowest first. A segment's FCT
-  /// above segment_duration is a rebuffer and steps the session down;
-  /// below half the duration steps it up.
-  std::vector<uint64_t> bitrate_ladder_bps = {1'000'000, 2'500'000,
-                                              5'000'000, 8'000'000};
 };
 
 /// What the engine knows about one client-side flow when it hands the
@@ -141,9 +124,9 @@ struct WorkloadConfig {
   /// on these connections, not the client-side ones on_flow_done sees.
   std::function<void(StreamSocket&)> on_server_conn_done;
 
-  /// Invoked once per finished serving-stack request (kServing and
-  /// kStreaming classes), after the engine's own accounting. Fleet-level
-  /// scenarios fold per-request outcomes into population metrics here.
+  /// Invoked once per finished serving-stack request (kServing classes),
+  /// after the engine's own accounting: completed, rejected or failed.
+  /// Benchmarks fold per-request outcomes into their own metrics here.
   std::function<void(size_t cls, const RequestOutcome&)> on_request_done;
 
   /// Shard whose loop drives this engine's client side (arrival timers,
@@ -278,11 +261,10 @@ class WorkloadEngine {
   /// the stats registry so no digest folds it.
   PayloadCheck payload_check() const;
 
-  // --- serving-stack introspection (kServing / kStreaming classes) -----
+  // --- serving-stack introspection (kServing classes) ------------------
   uint64_t requests_rejected(size_t cls) const {
     return classes_[cls].rejected;
   }
-  uint64_t rebuffers(size_t cls) const { return classes_[cls].rebuffers; }
   /// Fine-grained request-FCT histogram (microseconds); null for
   /// kConnectionPerTransfer classes.
   const FineHistogram* request_fct_us(size_t cls) const {
@@ -321,20 +303,12 @@ class WorkloadEngine {
     uint64_t errors = 0;
     uint64_t bytes = 0;
     Histogram* fct_us = nullptr;  ///< completion times, microseconds
-    // Serving-stack extras (kServing / kStreaming only; their stats keys
-    // are registered only for those modes, so legacy scenarios' exports
-    // -- and the digests folded over them -- are untouched).
-    uint64_t rejected = 0;   ///< server answered a reject frame
-    uint64_t rebuffers = 0;  ///< kStreaming: segment FCT > duration
-    uint64_t ladder_up = 0;
-    uint64_t ladder_down = 0;
+    // Serving-stack extras (kServing only; their stats keys are
+    // registered only for that mode, so legacy scenarios' exports -- and
+    // the digests folded over them -- are untouched).
+    uint64_t rejected = 0;  ///< server answered a reject frame
     FineHistogram* req_fct_us = nullptr;  ///< request FCT, microseconds
     double rate_scale = 1.0;              ///< flash-crowd multiplier
-  };
-
-  /// One adaptive-streaming session (kStreaming).
-  struct Stream {
-    size_t ladder = 0;  ///< current index into bitrate_ladder_bps
   };
 
   /// One (client host, class) pair: its transport factory, arrival clock
@@ -349,9 +323,7 @@ class WorkloadEngine {
     uint64_t gid = 0;  ///< global client id (RNG streams, server pinning)
     size_t next_server = 0;
     size_t next_local = 0;
-    std::unique_ptr<ConnectionPool> pool;  ///< kServing / kStreaming
-    std::vector<Stream> streams;           ///< kStreaming sessions
-    std::unordered_map<uint64_t, size_t> req_stream;  ///< req_id -> session
+    std::unique_ptr<ConnectionPool> pool;  ///< kServing
   };
 
   /// One open client-side flow.
@@ -377,7 +349,6 @@ class WorkloadEngine {
   // Serving-stack paths.
   void start_serving_slot(ClientSlot& slot, uint64_t gid);
   void submit_request(ClientSlot& slot);
-  void submit_segment(ClientSlot& slot, size_t stream);
   void on_request_outcome(ClientSlot& slot, const RequestOutcome& out);
 
   Topology& topo_;
@@ -389,7 +360,7 @@ class WorkloadEngine {
   struct ServerSlot {
     std::unique_ptr<SocketFactory> factory;
     std::unique_ptr<HttpServer> http;        ///< kConnectionPerTransfer
-    std::unique_ptr<ServerApp> serving;      ///< kServing / kStreaming
+    std::unique_ptr<ServerApp> serving;      ///< kServing
   };
   std::vector<ServerSlot> servers_;
   std::unordered_map<Flow*, std::unique_ptr<Flow>> flows_;

@@ -10,6 +10,8 @@ namespace mptcp {
 namespace {
 constexpr size_t kSubflowSendBufCap = size_t{1} << 40;  // meta governs
 constexpr SimTime kAutotunePeriod = 50 * kMillisecond;
+/// Floor for the connection-level retransmission timer.
+constexpr SimTime kMetaRtoMin = 400 * kMillisecond;
 }  // namespace
 
 MptcpConnection::MptcpConnection(MptcpStack& stack, Endpoint local,
@@ -794,7 +796,7 @@ void MptcpConnection::arm_meta_rto() {
   if (meta_rto_timer_.armed()) return;
   SimTime max_srtt = 0;
   for (const auto& sf : subflows_) max_srtt = std::max(max_srtt, sf->srtt());
-  const SimTime base = std::max(config_.meta_rto_min, 4 * max_srtt);
+  const SimTime base = std::max(kMetaRtoMin, 4 * max_srtt);
   meta_rto_timer_.arm_at(stack_.loop().now() + base * meta_rto_backoff_);
 }
 

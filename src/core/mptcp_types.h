@@ -79,16 +79,6 @@ struct MptcpConfig {
   /// Automatically open subflows from every additional local address and
   /// every ADD_ADDR-advertised remote address.
   bool full_mesh = true;
-
-  /// Floor for the connection-level retransmission timer.
-  SimTime meta_rto_min = 400 * kMillisecond;
-
-  // --- CPU cost model (only charged when the Host has a CPU configured;
-  // calibrated against the Fig. 10 microbenchmark) -----------------------
-  SimTime cost_tcp_syn = 6 * kMicrosecond;
-  SimTime cost_mpc_syn = 11 * kMicrosecond;  ///< key gen + SHA-1 + check
-  SimTime cost_join_syn = 15 * kMicrosecond; ///< token lookup + HMAC
-  SimTime cost_per_token = 2;                ///< ns per live token (table)
 };
 
 }  // namespace mptcp

@@ -23,8 +23,6 @@ struct IpAddr {
       : value((uint32_t{a} << 24) | (uint32_t{b} << 16) | (uint32_t{c} << 8) |
               uint32_t{d}) {}
 
-  constexpr bool is_unspecified() const { return value == 0; }
-
   friend constexpr bool operator==(IpAddr x, IpAddr y) {
     return x.value == y.value;
   }

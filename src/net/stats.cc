@@ -141,22 +141,6 @@ const Counter* StatsRegistry::find_counter(std::string_view name) const {
   return it == entries_.end() ? nullptr : it->second.counter.get();
 }
 
-const Gauge* StatsRegistry::find_gauge(std::string_view name) const {
-  auto it = entries_.find(name);
-  return it == entries_.end() ? nullptr : it->second.gauge.get();
-}
-
-const Histogram* StatsRegistry::find_histogram(std::string_view name) const {
-  auto it = entries_.find(name);
-  return it == entries_.end() ? nullptr : it->second.hist.get();
-}
-
-const FineHistogram* StatsRegistry::find_fine_histogram(
-    std::string_view name) const {
-  auto it = entries_.find(name);
-  return it == entries_.end() ? nullptr : it->second.fine.get();
-}
-
 double StatsRegistry::value(std::string_view flat_key) const {
   auto it = entries_.find(flat_key);
   if (it != entries_.end()) {
@@ -168,7 +152,9 @@ double StatsRegistry::value(std::string_view flat_key) const {
   // Histogram sub-keys: "<name>.<field>".
   const size_t dot = flat_key.rfind('.');
   if (dot == std::string_view::npos) return 0.0;
-  if (const Histogram* h = find_histogram(flat_key.substr(0, dot))) {
+  const auto owner = entries_.find(flat_key.substr(0, dot));
+  const Entry* he = owner == entries_.end() ? nullptr : &owner->second;
+  if (const Histogram* h = he != nullptr ? he->hist.get() : nullptr) {
     const std::string_view field = flat_key.substr(dot + 1);
     if (field == "count") return static_cast<double>(h->count());
     if (field == "sum") return static_cast<double>(h->sum());
@@ -177,7 +163,7 @@ double StatsRegistry::value(std::string_view flat_key) const {
     if (field == "mean") return h->mean();
     return 0.0;
   }
-  if (const FineHistogram* h = find_fine_histogram(flat_key.substr(0, dot))) {
+  if (const FineHistogram* h = he != nullptr ? he->fine.get() : nullptr) {
     const std::string_view field = flat_key.substr(dot + 1);
     if (field == "count") return static_cast<double>(h->count());
     if (field == "sum") return static_cast<double>(h->sum());

@@ -218,11 +218,8 @@ class StatsRegistry {
   bool contains(std::string_view name) const;
   size_t size() const { return entries_.size(); }
 
-  /// Lookup helpers (mostly for tests); null when absent or of another kind.
+  /// Lookup helper; null when absent or not a counter.
   const Counter* find_counter(std::string_view name) const;
-  const Gauge* find_gauge(std::string_view name) const;
-  const Histogram* find_histogram(std::string_view name) const;
-  const FineHistogram* find_fine_histogram(std::string_view name) const;
 
   /// Current numeric value of a flat key as flatten() would produce it
   /// (histograms contribute "name.count" etc.); 0 when absent.

@@ -5,9 +5,10 @@
 // middleboxes chained behind it). Hosts route outgoing segments by their
 // *source* address -- a segment sent from a given local address always
 // leaves through that address's interface, which is how MPTCP subflows pin
-// themselves to paths. A Classifier routes by destination address, used on
-// the single-homed side of asymmetric topologies, and the Network object
-// is the final hop that hands segments to the destination host.
+// themselves to paths. A Classifier routes by destination address with no
+// per-hop cost: the single-homed side of asymmetric topologies uses one,
+// and a TwoHostRig's core is one that hands segments to the destination
+// host.
 //
 // Hosts also carry an optional single-core CPU model (used by the Fig. 11
 // HTTP experiment): each delivered segment occupies the CPU for a
@@ -43,7 +44,8 @@ class ListenHandler {
   virtual void on_syn(const TcpSegment& seg) = 0;
 };
 
-/// Routes by destination address with a default route.
+/// Routes by destination address, synchronously, with an optional default
+/// route; segments matching neither are dropped silently.
 class Classifier : public PacketSink {
  public:
   void add_route(IpAddr dst, PacketSink* next) { routes_[dst] = next; }
@@ -196,20 +198,6 @@ class Router : public PacketSink {
   PacketSink* default_ = nullptr;
   uint64_t forwarded_ = 0;
   uint64_t dropped_no_route_ = 0;
-};
-
-/// The network core: final hop that routes to destination hosts.
-class Network : public PacketSink {
- public:
-  void attach(IpAddr addr, PacketSink* ingress) { hosts_[addr] = ingress; }
-
-  void deliver(TcpSegment seg) override {
-    auto it = hosts_.find(seg.tuple.dst.addr);
-    if (it != hosts_.end()) it->second->deliver(std::move(seg));
-  }
-
- private:
-  std::unordered_map<IpAddr, PacketSink*> hosts_;
 };
 
 }  // namespace mptcp

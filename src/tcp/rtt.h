@@ -40,7 +40,6 @@ class RttEstimator {
     return std::min(rto_ * backoff_, max_rto_);
   }
 
-  bool has_sample() const { return has_sample_; }
   SimTime srtt() const { return srtt_; }
   SimTime rttvar() const { return rttvar_; }
   /// Lowest RTT ever observed: the "base RTT" used by cwnd capping (M4).

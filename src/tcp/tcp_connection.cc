@@ -8,6 +8,17 @@ namespace mptcp {
 
 namespace {
 
+// Fixed endpoint timing (sysctl-style defaults).
+constexpr SimTime kDelackTimeout = 40 * kMillisecond;
+constexpr SimTime kMinRto = 200 * kMillisecond;
+constexpr SimTime kInitialRto = 1 * kSecond;
+constexpr SimTime kMaxRto = 60 * kSecond;
+/// Consecutive retransmission timeouts before the connection is declared
+/// dead (Linux tcp_retries2-style bound, sized for simulation).
+constexpr int kMaxDataRetries = 10;
+/// Initial congestion window in segments (RFC 6928).
+constexpr uint32_t kInitialCwndSegments = 10;
+
 /// Chooses a window-scale shift so that `buf_max` is representable.
 uint8_t choose_wscale(size_t buf_max) {
   uint8_t shift = 0;
@@ -43,14 +54,14 @@ TcpConnection::TcpConnection(Host& host, TcpConfig config, Endpoint local,
       remote_(remote),
       rng_(config.seed ^ std::hash<FourTuple>{}(FourTuple{local, remote})),
       cc_(cc ? std::move(cc) : std::make_unique<NewRenoCc>()),
-      rtt_(config.initial_rto, config.min_rto, config.max_rto),
+      rtt_(kInitialRto, kMinRto, kMaxRto),
       rto_timer_(host.loop(), [this] { on_rto(); }),
       persist_timer_(host.loop(), [this] { on_persist(); }),
       time_wait_timer_(host.loop(), [this] { finish_close(false); }),
       delack_timer_(host.loop(), [this] {
         if (delack_pending_ > 0) send_ack();
       }) {
-  cc_->init(config_.mss, config_.initial_cwnd_segments);
+  cc_->init(config_.mss, kInitialCwndSegments);
   snd_buf_capacity_ = config_.autotune ? config_.buf_initial
                                        : config_.snd_buf_max;
   rcv_buf_capacity_ = config_.autotune ? config_.buf_initial
@@ -110,7 +121,7 @@ void TcpConnection::accept_syn(const TcpSegment& syn) {
 
   if (const auto* mss = find_option<MssOption>(syn.options)) {
     config_.mss = std::min(config_.mss, uint32_t{mss->mss});
-    cc_->init(config_.mss, config_.initial_cwnd_segments);
+    cc_->init(config_.mss, kInitialCwndSegments);
   }
   if (const auto* ws = find_option<WindowScaleOption>(syn.options);
       ws != nullptr && config_.window_scale) {
@@ -121,8 +132,7 @@ void TcpConnection::accept_syn(const TcpSegment& syn) {
   if (const auto* ts = find_option<TimestampOption>(syn.options)) {
     ts_recent_ = ts->tsval;
   }
-  sack_ok_ = config_.sack &&
-             find_option<SackPermittedOption>(syn.options) != nullptr;
+  sack_ok_ = find_option<SackPermittedOption>(syn.options) != nullptr;
 
   host_.bind(local_, remote_, this);
   bound_ = true;
@@ -144,10 +154,8 @@ void TcpConnection::send_syn(bool with_options) {
     rcv_wscale_ = choose_wscale(config_.rcv_buf_max);
     seg.options.push_back(WindowScaleOption{rcv_wscale_});
   }
-  if (config_.sack) seg.options.push_back(SackPermittedOption{});
-  if (config_.timestamps) {
-    seg.options.push_back(TimestampOption{current_tsval(), 0});
-  }
+  seg.options.push_back(SackPermittedOption{});
+  seg.options.push_back(TimestampOption{current_tsval(), 0});
   if (with_options) build_syn_options(seg.options);
   send_segment(std::move(seg));
 }
@@ -166,9 +174,7 @@ void TcpConnection::send_synack() {
     seg.options.push_back(WindowScaleOption{rcv_wscale_});
   }
   if (sack_ok_) seg.options.push_back(SackPermittedOption{});
-  if (config_.timestamps) {
-    seg.options.push_back(TimestampOption{current_tsval(), ts_recent_});
-  }
+  seg.options.push_back(TimestampOption{current_tsval(), ts_recent_});
   // Subclasses see the original SYN via the stash made in accept_syn's
   // process_incoming_options; they only need to append their options here.
   build_synack_options(seg.options, TcpSegment{});
@@ -285,7 +291,7 @@ void TcpConnection::handle_syn_sent(const TcpSegment& seg) {
 
   if (const auto* mss = find_option<MssOption>(seg.options)) {
     config_.mss = std::min(config_.mss, uint32_t{mss->mss});
-    cc_->init(config_.mss, config_.initial_cwnd_segments);
+    cc_->init(config_.mss, kInitialCwndSegments);
   }
   if (const auto* ws = find_option<WindowScaleOption>(seg.options);
       ws != nullptr && config_.window_scale) {
@@ -295,8 +301,7 @@ void TcpConnection::handle_syn_sent(const TcpSegment& seg) {
     snd_wscale_ = 0;
     rcv_wscale_ = 0;
   }
-  sack_ok_ = config_.sack &&
-             find_option<SackPermittedOption>(seg.options) != nullptr;
+  sack_ok_ = find_option<SackPermittedOption>(seg.options) != nullptr;
 
   rto_timer_.cancel();
   if (rtt_sample_pending_) {
@@ -678,7 +683,7 @@ void TcpConnection::process_payload(const TcpSegment& seg) {
   if (config_.autotune) autotune_rcv_buf();
 
   if (!ack_now && ++delack_pending_ < 2) {
-    if (!delack_timer_.armed()) delack_timer_.arm_in(config_.delack_timeout);
+    if (!delack_timer_.armed()) delack_timer_.arm_in(kDelackTimeout);
     return;
   }
   send_ack();
@@ -746,9 +751,7 @@ void TcpConnection::maybe_send_fin() {
   seg.fin = true;
   seg.window = static_cast<uint16_t>(
       std::min<uint64_t>(65535, advertised_window_bytes() >> rcv_wscale_));
-  if (config_.timestamps) {
-    seg.options.push_back(TimestampOption{current_tsval(), ts_recent_});
-  }
+  seg.options.push_back(TimestampOption{current_tsval(), ts_recent_});
   build_segment_options(seg.options, fin_seq_, 0);
   snd_nxt_ = fin_seq_ + 1;
   snd_max_ = std::max(snd_max_, snd_nxt_);
@@ -772,9 +775,7 @@ void TcpConnection::send_data_segment(uint64_t seq, size_t len,
   seg.window = static_cast<uint16_t>(
       std::min<uint64_t>(65535, advertised_window_bytes() >> rcv_wscale_));
   seg.payload = snd_buf_.slice_out(seq, len);
-  if (config_.timestamps) {
-    seg.options.push_back(TimestampOption{current_tsval(), ts_recent_});
-  }
+  seg.options.push_back(TimestampOption{current_tsval(), ts_recent_});
   build_segment_options(seg.options, seq, len);
 
   if (retransmission) {
@@ -810,9 +811,7 @@ void TcpConnection::send_ack() {
   seg.ack_flag = true;
   seg.window = static_cast<uint16_t>(
       std::min<uint64_t>(65535, advertised_window_bytes() >> rcv_wscale_));
-  if (config_.timestamps) {
-    seg.options.push_back(TimestampOption{current_tsval(), ts_recent_});
-  }
+  seg.options.push_back(TimestampOption{current_tsval(), ts_recent_});
   if (sack_ok_ && !reassembly_.empty()) {
     // At most two blocks: pure ACKs also carry MPTCP DSS options, and the
     // 40-byte option budget is tight (the same compromise real MPTCP
@@ -906,7 +905,7 @@ void TcpConnection::on_rto() {
   const bool fin_outstanding = fin_sent_ && snd_una_ <= fin_seq_;
   if (!data_outstanding && !fin_outstanding) return;
 
-  if (++consecutive_timeouts_ > config_.max_data_retries) {
+  if (++consecutive_timeouts_ > kMaxDataRetries) {
     // The path is dead; give up so upper layers can fail over.
     finish_close(true);
     return;
@@ -963,7 +962,7 @@ void TcpConnection::on_persist() {
   // current window.
   send_data_segment(snd_nxt_, 1, /*retransmission=*/false);
   snd_nxt_ += 1;
-  persist_timer_.arm_in(std::min(2 * rtt_.rto(), config_.max_rto));
+  persist_timer_.arm_in(std::min(2 * rtt_.rto(), kMaxRto));
 }
 
 // --------------------------------------------------------------------------

@@ -140,7 +140,6 @@ class TcpConnection : public SegmentHandler, public StreamSocket {
   size_t rcv_buf_in_use() const {
     return reassembly_.ooo_bytes() + app_rx_.size();
   }
-  size_t snd_buf_capacity() const { return snd_buf_capacity_; }
   size_t rcv_buf_capacity() const { return rcv_buf_capacity_; }
   size_t snd_buf_space() const {
     return snd_buf_capacity_ > snd_buf_.size()

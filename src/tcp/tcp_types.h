@@ -74,32 +74,22 @@ struct TcpConfig {
   bool autotune = false;
   size_t buf_initial = 16 * 1024;
 
+  /// Window scaling (RFC 7323). SACK-permitted and timestamps are always
+  /// offered; SACK blocks are sent only when the peer permitted SACK.
   bool window_scale = true;
-  bool timestamps = true;
-  bool sack = true;
 
   /// Delayed ACKs (RFC 1122): ACK every second in-order segment or after
-  /// `delack_timeout`; out-of-order, duplicate and FIN segments are ACKed
+  /// 40 ms; out-of-order, duplicate and FIN segments are ACKed
   /// immediately so loss recovery is never delayed.
   bool delayed_ack = true;
-  SimTime delack_timeout = 40 * kMillisecond;
 
-  SimTime min_rto = 200 * kMillisecond;
-  SimTime initial_rto = 1 * kSecond;
-  SimTime max_rto = 60 * kSecond;
   SimTime time_wait = 60 * kMillisecond;  ///< shortened 2*MSL for simulation
   int max_syn_retries = 6;
-  /// Consecutive retransmission timeouts before the connection is
-  /// declared dead (Linux tcp_retries2-style bound, sized for simulation).
-  int max_data_retries = 10;
 
   /// After this many unanswered SYNs carrying new TCP options, retransmit
   /// without them (section 3.1: "follow the retransmitted SYN with one
   /// that omits MP_CAPABLE").
   int syn_option_fallback_after = 2;
-
-  /// Initial congestion window in segments (RFC 6928 default).
-  uint32_t initial_cwnd_segments = 10;
 
   uint64_t seed = 42;  ///< for ISN / key / nonce generation
 };

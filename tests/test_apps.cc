@@ -108,7 +108,7 @@ TEST(Bonding, SingleTcpConnectionAggregatesTwoLinksDespiteReordering) {
   // should exceed one leg's rate. (DupACK-based fast retransmit tolerates
   // the mild reordering of equal legs.)
   EventLoop loop;
-  Network net;
+  Classifier net;
   Host client(loop, "client"), server(loop, "server");
   const IpAddr caddr(10, 0, 0, 2), saddr(10, 99, 0, 1);
 
@@ -131,8 +131,8 @@ TEST(Bonding, SingleTcpConnectionAggregatesTwoLinksDespiteReordering) {
 
   client.add_interface(caddr, &client_bond);
   server.add_interface(saddr, &server_bond);
-  net.attach(caddr, &client);
-  net.attach(saddr, &server);
+  net.add_route(caddr, &client);
+  net.add_route(saddr, &server);
 
   TcpConfig cfg;
   cfg.snd_buf_max = cfg.rcv_buf_max = 2 * 1024 * 1024;

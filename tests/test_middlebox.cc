@@ -147,7 +147,7 @@ TEST(Middlebox, NatOnJoinPathStillJoinsByToken) {
   // server sends via the 3G downlink, whose far end (the network) hands
   // it to the NAT's reverse side, which rewrites and re-injects.
   f.rig.route_server_to(nat.public_addr(), 1);
-  f.rig.network().attach(nat.public_addr(), &nat.reverse_sink());
+  f.rig.network().add_route(nat.public_addr(), &nat.reverse_sink());
   nat.reverse_sink().set_downstream(&f.rig.network());
   f.start();
   f.run();

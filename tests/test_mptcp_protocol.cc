@@ -290,7 +290,7 @@ TEST(MptcpPaths, BackupSubflowCarriesNothingWhilePrimaryHealthy) {
 TEST(MptcpPaths, ServerAddAddrTriggersClientJoin) {
   // Custom topology: single-homed client, dual-homed server.
   EventLoop loop;
-  Network net;
+  Classifier net;
   Host client(loop, "client"), server(loop, "server");
   const IpAddr caddr(10, 0, 0, 2);
   const IpAddr saddr1(10, 99, 0, 1), saddr2(10, 99, 1, 1);
@@ -311,9 +311,9 @@ TEST(MptcpPaths, ServerAddAddrTriggersClientJoin) {
   client.add_interface(caddr, &client_out);
   server.add_interface(saddr1, &down1);
   server.add_interface(saddr2, &down2);
-  net.attach(caddr, &client);
-  net.attach(saddr1, &server);
-  net.attach(saddr2, &server);
+  net.add_route(caddr, &client);
+  net.add_route(saddr1, &server);
+  net.add_route(saddr2, &server);
 
   MptcpStack cs(client, cfg1m()), ss(server, cfg1m());
   MptcpConnection* sconn = nullptr;

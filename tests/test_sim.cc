@@ -254,7 +254,7 @@ TEST(Link, BufferForDelayHelper) {
   EXPECT_EQ(LinkConfig::buffer_for_delay(8e6, 80 * kMillisecond), 80000u);
 }
 
-// --- Host / Network -----------------------------------------------------------
+// --- Host ---------------------------------------------------------------------
 
 struct RecordingHandler : SegmentHandler {
   std::vector<TcpSegment> got;
