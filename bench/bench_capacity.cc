@@ -2,7 +2,7 @@
 // stack sustains over a shared-bottleneck multi-host topology, and what
 // flow completion times the churn traffic sees while it does.
 //
-// Scenario (app/workload.h): N dual-homed client hosts fan into two
+// Setup (app/workload.h): N dual-homed client hosts fan into two
 // aggregation routers whose uplinks to a core router are the shared
 // bottlenecks; M servers hang off the core. Two traffic classes:
 //

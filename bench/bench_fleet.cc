@@ -10,7 +10,7 @@
 //   * the fallback rate is monotone in option-stripper prevalence and
 //     exactly zero at zero prevalence (the paper's deployability story:
 //     fallback happens iff a middlebox interferes);
-//   * island placement, ScenarioSpec::shard_for(prefix + "client"), is
+//   * island placement, Topology::shard_for(prefix + "client"), is
 //     balanced across shards.
 //
 // --smoke is the CI gate: a reduced fleet whose smoke_* keys

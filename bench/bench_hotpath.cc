@@ -340,8 +340,8 @@ SchedBenchResult bench_scheduler(uint64_t picks, uint64_t allocs) {
     redundant->allocate(i * kMss, kMss, sf);
   }
   out.allocs_per_sec = static_cast<double>(allocs) / w2.seconds();
-  if (redundant->allocs() != allocs) {
-    std::fprintf(stderr, "sched alloc: count mismatch\n");
+  if (sf.path_state().redundant_next != allocs * kMss) {
+    std::fprintf(stderr, "sched alloc: cursor mismatch\n");
   }
   return out;
 }

@@ -116,7 +116,7 @@ struct Burster {
   uint64_t target = 0;
   uint64_t sent = 0;
   size_t burst = 2048;
-  std::vector<TcpSegment> batch;
+  std::vector<TcpSegment> batch{};
 
   void fire() {
     const size_t n =

@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "app/scenario.h"
 #include "bench_util.h"
 
 using namespace mptcp;
@@ -31,7 +30,6 @@ void run(size_t n_paths) {
               "cmp/insert", "hit_rate", "goodput");
   for (RecvAlgo algo : {RecvAlgo::kRegular, RecvAlgo::kTree,
                         RecvAlgo::kShortcuts, RecvAlgo::kAllShortcuts}) {
-    ScenarioSpec spec;
     std::vector<PathSpec> paths;
     for (size_t i = 0; i < n_paths; ++i) {
       // Nominally symmetric gigabit paths with realistic +-10% RTT skew.
@@ -40,9 +38,9 @@ void run(size_t n_paths) {
                                         kMicrosecond,
           10 * kMillisecond));  // ample buffering: the testbed was loss-free
     }
-    const TwoHostShape shape = declare_two_host(spec, paths);
-    Scenario scn = spec.build();
-    Topology& t = scn.topo();
+    Topology t;
+    const TwoHostShape shape = declare_two_host(t, paths);
+    t.build_routes();
     MptcpConfig cfg;
     cfg.meta_snd_buf_max = cfg.meta_rcv_buf_max = 8 * 1000 * 1000;
     cfg.recv_algo = algo;

@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "app/http_app.h"
-#include "app/scenario.h"
 #include "bench_util.h"
 #include "bond/bonding.h"
 
@@ -47,10 +46,9 @@ TransportConfig http_config(bool mptcp_enabled) {
 double run_two_path(bool mptcp_enabled, uint64_t size) {
   const PathSpec eth =
       ethernet_path(kLinkRate, 100 * kMicrosecond, 2 * kMillisecond);
-  ScenarioSpec spec;
-  const TwoHostShape shape = declare_two_host(spec, {eth, eth});
-  Scenario scn = spec.build();
-  Topology& t = scn.topo();
+  Topology t;
+  const TwoHostShape shape = declare_two_host(t, {eth, eth});
+  t.build_routes();
   t.host(shape.server).set_cpu(server_cpu());
 
   SocketFactory cs(t.host(shape.client), http_config(mptcp_enabled));

@@ -4,6 +4,9 @@
 #include <cmath>
 
 #include "core/mptcp_connection.h"
+#include "middlebox/nat.h"
+#include "middlebox/option_stripper.h"
+#include "middlebox/payload_modifier.h"
 #include "sim/shard.h"
 
 namespace mptcp {
@@ -22,7 +25,9 @@ double log_uniform(Rng& rng, double lo, double hi) {
 }
 
 std::string island_prefix(uint64_t index) {
-  return "f" + std::to_string(index) + ".";
+  // append(), not operator+: GCC 12 reports a false -Wrestrict (GCC bug
+  // 105651) on `"f" + std::to_string(index) + "."` once it is inlined.
+  return std::string("f").append(std::to_string(index)).append(".");
 }
 
 /// How long a handover keeps the old radio up after advertising
@@ -91,8 +96,8 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
   if (spec_.shards == 0) spec_.shards = 1;
   accs_.resize(spec_.shards);
 
-  ScenarioSpec scn;
-  scn.seed(spec_.seed).shards(spec_.shards);
+  topo_ = std::make_unique<Topology>(spec_.seed, spec_.shards);
+  Topology& t = *topo_;
 
   FlowClass fc;
   fc.name = "fleet";
@@ -143,11 +148,14 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
     }
     // The whole island rides the stable token hash of its client name,
     // so placement is deterministic and shard-count-local.
-    const size_t shard = scn.shard_for(prefix + "client");
-    isl.shape = declare_two_host(scn, paths, prefix, shard);
+    const size_t shard = t.shard_for(prefix + "client");
+    isl.shape = declare_two_host(t, paths, prefix, shard);
     isl.shard = shard;
 
-    isl.nat_handle.assign(p.paths.size(), static_cast<size_t>(-1));
+    // Splices on one direction nest most recent first: uplink packets
+    // pass the NAT before the stripper, downlink packets the corrupter
+    // before the NAT.
+    isl.nat_handle.assign(p.paths.size(), nullptr);
     for (size_t k = 0; k < p.paths.size(); ++k) {
       const PathProfile& pp = p.paths[k];
       const size_t l = isl.shape.paths[k];
@@ -155,27 +163,51 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
         // SYN-only stripping is the paper's observed failure mode: the
         // handshake loses MP_CAPABLE/MP_JOIN and the connection falls
         // back to (or joins as) plain TCP; established traffic passes.
-        scn.via_up(l, MiddleboxDecl::option_stripper(
-                          OptionStripper::Scope::kSynOnly,
-                          OptionStripper::What::kAllMptcp));
+        middleboxes_.push_back(
+            std::make_unique<OptionStripper>(OptionStripper::Scope::kSynOnly,
+                                             OptionStripper::What::kAllMptcp));
+        t.splice_ab(l, *middleboxes_.back());
       }
       if (pp.nat) {
         // Unique public /32 per (client, path); v stays below 2^16 for
         // any fleet under ~21k clients, so 172.16/12 never overflows.
+        // The client is side a: traffic it originates is translated,
+        // return traffic untranslated.
         const uint64_t v = p.index * 3 + k;
         const IpAddr pub(172, static_cast<uint8_t>(16 + (v >> 8)),
                          static_cast<uint8_t>(v & 0xff), 1);
-        isl.nat_handle[k] = scn.via(l, MiddleboxDecl::nat(pub));
+        nats_.push_back(std::make_unique<Nat>(pub));
+        isl.nat_handle[k] = nats_.back().get();
+        t.splice_ab(l, isl.nat_handle[k]->forward_sink());
+        t.splice_ba(l, isl.nat_handle[k]->reverse_sink());
       }
       if (pp.corrupter) {
         // Content-rewriting proxy on the download direction: DSS
         // checksum failures on data segments, the fallback trigger the
         // paper's checksumming exists to catch.
-        scn.via_down(l, MiddleboxDecl::payload_modifier(
-                            spec_.corrupt_interval));
+        middleboxes_.push_back(
+            std::make_unique<PayloadModifier>(spec_.corrupt_interval));
+        t.splice_ba(l, *middleboxes_.back());
       }
     }
+    islands_.push_back(std::move(isl));
+  }
 
+  t.build_routes();
+  // A NAT's public address routes exactly like the client address of its
+  // path, so return traffic reaches the reverse sink.
+  for (const Island& isl : islands_) {
+    for (size_t k = 0; k < isl.nat_handle.size(); ++k) {
+      if (const Nat* nat = isl.nat_handle[k]) {
+        t.alias_route(nat->public_addr(), t.addr(isl.shape.client, k));
+      }
+    }
+  }
+
+  engines_.reserve(islands_.size());
+  for (size_t i = 0; i < islands_.size(); ++i) {
+    const Island& isl = islands_[i];
+    const std::string prefix = island_prefix(profiles_[i].index);
     WorkloadConfig wc;
     wc.clients = {isl.shape.client};
     wc.servers = {isl.shape.server};
@@ -183,7 +215,7 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
     wc.seed = spec_.seed;
     wc.shard = isl.shard;
     wc.scope_prefix = prefix;
-    wc.client_ids = {p.index};
+    wc.client_ids = {profiles_[i].index};
     wc.on_flow_done = [this, shard = isl.shard](StreamSocket& s,
                                                 const FlowReport& r) {
       record_flow(shard, s, r);
@@ -195,29 +227,19 @@ FleetEngine::FleetEngine(const FleetSpec& spec)
         fold_sender(accs_[shard], *conn);
       }
     };
-    isl.engine_idx = scn.workload(std::move(wc));
-    islands_.push_back(std::move(isl));
+    engines_.push_back(std::make_unique<WorkloadEngine>(t, std::move(wc)));
   }
-
-  scenario_ = std::make_unique<Scenario>(scn.build());
 }
 
 FleetEngine::~FleetEngine() = default;
 
-Topology& FleetEngine::topo() { return scenario_->topo(); }
+Topology& FleetEngine::topo() { return *topo_; }
 
-WorkloadEngine& FleetEngine::island_engine(size_t i) {
-  return scenario_->engine(islands_[i].engine_idx);
-}
-
-Nat* FleetEngine::island_nat(size_t i, size_t k) {
-  const size_t h = islands_[i].nat_handle[k];
-  return h == static_cast<size_t>(-1) ? nullptr : scenario_->nat(h);
-}
+WorkloadEngine& FleetEngine::island_engine(size_t i) { return *engines_[i]; }
 
 void FleetEngine::run() {
   Topology& t = topo();
-  scenario_->start_workloads();
+  for (auto& e : engines_) e->start();
 
   // Mobility, scheduled up front on each island's own loop in island
   // order: same-timestamp events keep their scheduling order within a
@@ -242,7 +264,7 @@ void FleetEngine::run() {
 
   ShardedEngine engine(t);
   engine.run_until(spec_.duration);
-  scenario_->stop_workloads();
+  for (auto& e : engines_) e->stop();
   finalize();
   ran_ = true;
 }
@@ -350,7 +372,7 @@ void FleetEngine::do_rebind(size_t island) {
   Island& isl = islands_[island];
   Topology& t = topo();
   for (size_t k = 0; k < isl.nat_handle.size(); ++k) {
-    Nat* nat = island_nat(island, k);
+    Nat* nat = isl.nat_handle[k];
     if (nat == nullptr) continue;
     nat->rebind();
     ++accs_[isl.shard].nat_rebinds;
@@ -403,9 +425,8 @@ void FleetEngine::finalize() {
 
 FleetMetrics FleetEngine::metrics() const {
   FleetMetrics m;
-  auto* self = const_cast<FleetEngine*>(this);
-  for (const Island& isl : islands_) {
-    WorkloadEngine& e = self->scenario_->engine(isl.engine_idx);
+  for (const auto& engine : engines_) {
+    const WorkloadEngine& e = *engine;
     m.flows_started += e.started(0);
     m.bytes_received += e.bytes_received(0);
     m.payload_check += e.payload_check();

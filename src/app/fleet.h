@@ -8,9 +8,9 @@
 // fire, what does the goodput/FCT distribution look like when paths,
 // RTTs and losses vary by orders of magnitude. A FleetSpec describes
 // those distributions; sample_fleet() draws a deterministic population
-// from them; FleetEngine lowers every client onto a declarative
-// ScenarioSpec island (client -- K paths -- gateway -- ideal wire --
-// server), attaches the sampled middleboxes (SYN option strippers,
+// from them; FleetEngine builds every client as a declare_two_host()
+// island on one Topology (client -- K paths -- gateway -- ideal wire --
+// server), splices in the sampled middleboxes (SYN option strippers,
 // NATs, DSS-checksum-corrupting proxies), schedules the sampled
 // mobility events (WiFi->3G make-before-break handover, REMOVE_ADDR
 // storms, NAT rebinding mid-connection), and drives the whole fleet
@@ -19,7 +19,7 @@
 // Determinism contract: sample_fleet() depends only on the seed and the
 // distribution knobs -- NEVER on the shard count -- via per-client PRNG
 // streams in fixed client-index order. Every island is pinned whole to
-// one shard, ScenarioSpec::shard_for(prefix + "client"), so islands
+// one shard, Topology::shard_for(prefix + "client"), so islands
 // never exchange packets across shards and the per-island packet
 // streams are bit-identical for any shard count;
 // `sim_digest --scenario fleet` folds per-island tap hashes in island
@@ -30,9 +30,11 @@
 #include <vector>
 
 #include "app/harness.h"
-#include "app/scenario.h"
+#include "app/workload.h"
 
 namespace mptcp {
+
+class Nat;
 
 /// The population's distribution knobs. Middlebox prevalences and
 /// mobility rates are probabilities per path / per client.
@@ -153,8 +155,9 @@ struct FleetMetrics {
 };
 
 /// Builds and drives the fleet. Construction samples the population and
-/// lowers it onto a ScenarioSpec; run() starts the workloads, schedules
-/// the mobility events and drives the sharded engine to spec.duration.
+/// builds it on a Topology it owns, with the islands' middleboxes and one
+/// WorkloadEngine per island; run() starts the workloads, schedules the
+/// mobility events and drives the sharded engine to spec.duration.
 class FleetEngine {
  public:
   explicit FleetEngine(const FleetSpec& spec);
@@ -197,9 +200,8 @@ class FleetEngine {
   struct Island {
     TwoHostShape shape;
     size_t shard = 0;
-    size_t engine_idx = 0;
-    /// Middlebox handle per path (SIZE_MAX = none of that kind).
-    std::vector<size_t> nat_handle;
+    /// The NAT on each path (nullptr = none), owned by nats_.
+    std::vector<Nat*> nat_handle;
   };
 
   /// Per-shard outcome accumulator; only the owning shard's thread
@@ -219,7 +221,6 @@ class FleetEngine {
     std::vector<uint64_t> fct_us;
   };
 
-  Nat* island_nat(size_t i, size_t k);
   void record_flow(size_t shard, StreamSocket& s, const FlowReport& r);
   void fold_connection(ShardAcc& acc, MptcpConnection& conn);
   void fold_sender(ShardAcc& acc, MptcpConnection& conn);
@@ -233,8 +234,15 @@ class FleetEngine {
   std::vector<ClientProfile> profiles_;
   std::vector<Island> islands_;
   std::vector<ShardAcc> accs_;  ///< indexed by shard
-  std::unique_ptr<Scenario> scenario_;
   bool ran_ = false;
+  // Declared in build order so they are destroyed in reverse: the engines
+  // hold sockets on the topology's hosts, and the middleboxes are spliced
+  // into its links.
+  std::unique_ptr<Topology> topo_;
+  std::vector<std::unique_ptr<Middlebox>> middleboxes_;  ///< strippers,
+                                                         ///< corrupters
+  std::vector<std::unique_ptr<Nat>> nats_;
+  std::vector<std::unique_ptr<WorkloadEngine>> engines_;  ///< per island
 };
 
 }  // namespace mptcp

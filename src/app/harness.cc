@@ -72,6 +72,32 @@ PathSpec capped_threeg_path(double loss) {
   return s;
 }
 
+TwoHostShape declare_two_host(Topology& topo,
+                              const std::vector<PathSpec>& paths,
+                              const std::string& prefix, size_t shard) {
+  TwoHostShape shape;
+  // Every node of the shape lands on ONE shard: the paths stay
+  // intra-shard islands, which is what makes populations
+  // shard-count-invariant.
+  shape.client = topo.add_host(prefix + "client", shard);
+  shape.gw = topo.add_router(prefix + "gw", shard);
+  shape.server = topo.add_host(prefix + "server", shard);
+  shape.paths.reserve(paths.size());
+  for (const PathSpec& p : paths) {
+    shape.paths.push_back(
+        topo.connect(shape.client, shape.gw, p.up, p.down, p.name));
+  }
+  // Effectively ideal server access: fast enough that the paths stay the
+  // experiment's bottleneck, buffered for their aggregate burst.
+  LinkConfig wire;
+  wire.rate_bps = 100e9;
+  wire.prop_delay = 1 * kMicrosecond;
+  wire.buffer_bytes = 16 * 1024 * 1024;
+  shape.server_link =
+      topo.connect(shape.gw, shape.server, wire, wire, prefix + "wire");
+  return shape;
+}
+
 TwoHostRig::TwoHostRig(uint64_t seed)
     : client_(loop_, "client"), server_(loop_, "server"), seed_(seed) {
   server_.add_interface(server_addr_, &server_out_);

@@ -15,6 +15,7 @@
 
 #include "sim/link.h"
 #include "sim/network.h"
+#include "sim/topology.h"
 #include "sim/trace.h"
 #include "tcp/tcp_socket.h"
 
@@ -43,6 +44,28 @@ PathSpec capped_wifi_path();
 /// Cellular links mask most radio loss with link-layer retransmission;
 /// only a residue is visible to TCP.
 PathSpec capped_threeg_path(double loss = 0.001);
+
+/// The classic two-host shape on a Topology: a (possibly multihomed)
+/// client whose paths all meet one gateway router, with the server behind
+/// an effectively ideal wire -- TwoHostRig's semantics on the Topology
+/// engine, so the same experiment composes with sharding and spliced
+/// middleboxes.
+struct TwoHostShape {
+  NodeId client = 0;
+  NodeId gw = 0;
+  NodeId server = 0;
+  std::vector<size_t> paths;  ///< link index per path, add order
+  size_t server_link = 0;
+};
+
+/// Adds the shape above to `topo`: nodes client, gw, server, then one link
+/// per path (`up` is client->gw), then the gw--server "wire". `prefix`
+/// namespaces the node and wire names (islands in a population use
+/// "f<i>."), `shard` pins every node of the shape. Routes are not built.
+TwoHostShape declare_two_host(Topology& topo,
+                              const std::vector<PathSpec>& paths,
+                              const std::string& prefix = "",
+                              size_t shard = 0);
 
 class TwoHostRig {
  public:

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "app/scenario.h"
-
 namespace mptcp {
 
 namespace {
@@ -16,13 +14,19 @@ constexpr uint64_t kPersistentBytes = 1ULL << 41;
 /// Shape of the FlowClass::SizeDist::kPareto size distribution.
 constexpr double kParetoAlpha = 1.5;
 
-/// Declares one capacity cell (workload.h) on `scn`, every node pinned to
+/// "c<j>" + `suffix`, the name and stats prefix of capacity cell j. Built
+/// with append(): GCC 12 reports a false -Wrestrict (GCC bug 105651) on
+/// `"c" + std::to_string(j) + ...` once it is inlined.
+std::string cell_prefix(size_t j, const char* suffix = ".") {
+  return std::string("c").append(std::to_string(j)).append(suffix);
+}
+
+/// Adds one capacity cell (workload.h) to `topo`, every node pinned to
 /// `shard` and named `prefix` + its role: routers agg-a, agg-b and core,
 /// the dual-homed clients, bottleneck-a and bottleneck-b, then the
-/// servers. ScenarioSpec replays declarations in order, so this order
-/// fixes the node ids, link indices and loss seeds that the capacity
-/// determinism digests pin.
-ShardedCapacity::Cell declare_capacity_cell(ScenarioSpec& scn,
+/// servers. This order fixes the node ids, link indices and loss seeds
+/// that the capacity determinism digests pin.
+ShardedCapacity::Cell declare_capacity_cell(Topology& topo,
                                             const CapacitySpec& spec,
                                             const std::string& prefix,
                                             size_t shard) {
@@ -42,22 +46,24 @@ ShardedCapacity::Cell declare_capacity_cell(ScenarioSpec& scn,
       3000);
 
   ShardedCapacity::Cell cell;
-  cell.agg_a = scn.router(prefix + "agg-a", shard);
-  cell.agg_b = scn.router(prefix + "agg-b", shard);
-  cell.core = scn.router(prefix + "core", shard);
+  cell.agg_a = topo.add_router(prefix + "agg-a", shard);
+  cell.agg_b = topo.add_router(prefix + "agg-b", shard);
+  cell.core = topo.add_router(prefix + "core", shard);
   for (size_t i = 0; i < spec.clients; ++i) {
-    const NodeId c = scn.host(prefix + "client" + std::to_string(i), shard);
-    scn.link(c, cell.agg_a, access, access);
-    scn.link(c, cell.agg_b, access, access);
+    const NodeId c =
+        topo.add_host(prefix + "client" + std::to_string(i), shard);
+    topo.connect(c, cell.agg_a, access, access);
+    topo.connect(c, cell.agg_b, access, access);
     cell.clients.push_back(c);
   }
-  cell.bottleneck_a = scn.link(cell.agg_a, cell.core, bottleneck, bottleneck,
-                               prefix + "bottleneck-a");
-  cell.bottleneck_b = scn.link(cell.agg_b, cell.core, bottleneck, bottleneck,
-                               prefix + "bottleneck-b");
+  cell.bottleneck_a = topo.connect(cell.agg_a, cell.core, bottleneck,
+                                   bottleneck, prefix + "bottleneck-a");
+  cell.bottleneck_b = topo.connect(cell.agg_b, cell.core, bottleneck,
+                                   bottleneck, prefix + "bottleneck-b");
   for (size_t i = 0; i < spec.servers; ++i) {
-    const NodeId s = scn.host(prefix + "server" + std::to_string(i), shard);
-    scn.link(cell.core, s, access, access);
+    const NodeId s =
+        topo.add_host(prefix + "server" + std::to_string(i), shard);
+    topo.connect(cell.core, s, access, access);
     cell.servers.push_back(s);
   }
   return cell;
@@ -67,18 +73,11 @@ ShardedCapacity::Cell declare_capacity_cell(ScenarioSpec& scn,
 
 CapacityTopology build_capacity_topology(const CapacitySpec& spec,
                                          uint64_t seed) {
-  ScenarioSpec scn;
-  scn.seed(seed);
-  ShardedCapacity::Cell cell = declare_capacity_cell(scn, spec, "", 0);
   CapacityTopology out;
-  out.clients = std::move(cell.clients);
-  out.servers = std::move(cell.servers);
-  out.agg_a = cell.agg_a;
-  out.agg_b = cell.agg_b;
-  out.core = cell.core;
-  out.bottleneck_a = cell.bottleneck_a;
-  out.bottleneck_b = cell.bottleneck_b;
-  out.topo = scn.build().take_topology();
+  out.topo = std::make_unique<Topology>(seed);
+  static_cast<ShardedCapacity::Cell&>(out) =
+      declare_capacity_cell(*out.topo, spec, "", 0);
+  out.topo->build_routes();
   return out;
 }
 
@@ -522,15 +521,15 @@ ShardedCapacity build_sharded_capacity(const ShardedCapacitySpec& spec,
                                        uint64_t seed, size_t shards) {
   if (shards == 0) shards = 1;
   ShardedCapacity out;
-  ScenarioSpec scn;
-  scn.seed(seed).shards(shards);
+  out.topo = std::make_unique<Topology>(seed, shards);
+  Topology& topo = *out.topo;
 
   // Construction order (cells, then the ring) fixes every link index and
   // loss seed independently of the shard count: only node->shard pinning
   // changes with `shards`, never the graph.
   for (size_t j = 0; j < spec.cells; ++j) {
-    out.cells.push_back(declare_capacity_cell(
-        scn, spec.cell, "c" + std::to_string(j) + ".", j % shards));
+    out.cells.push_back(
+        declare_capacity_cell(topo, spec.cell, cell_prefix(j), j % shards));
   }
 
   // The ring core[j] -> core[(j+1) % cells] carries cross-cell traffic;
@@ -545,13 +544,13 @@ ShardedCapacity build_sharded_capacity(const ShardedCapacitySpec& spec,
         LinkConfig::buffer_for_delay(kRingRateBps, 20 * kMillisecond), 3000);
     for (size_t j = 0; j < spec.cells; ++j) {
       const size_t next = (j + 1) % spec.cells;
-      out.ring_links.push_back(scn.link(out.cells[j].core,
-                                        out.cells[next].core, ring, ring,
-                                        "ring-" + std::to_string(j)));
+      out.ring_links.push_back(topo.connect(out.cells[j].core,
+                                            out.cells[next].core, ring, ring,
+                                            "ring-" + std::to_string(j)));
     }
   }
 
-  out.topo = scn.build().take_topology();
+  topo.build_routes();
   return out;
 }
 
@@ -582,7 +581,7 @@ ShardedCapacityWorkload::ShardedCapacityWorkload(ShardedCapacity& net,
     wc.classes.push_back(local);
     wc.seed = seed;
     wc.shard = j % shards;
-    wc.scope_prefix = "c" + std::to_string(j) + ".";
+    wc.scope_prefix = cell_prefix(j);
     wc.client_ids = ids;
     engines_.push_back(std::make_unique<WorkloadEngine>(topo, std::move(wc)));
 
@@ -597,7 +596,7 @@ ShardedCapacityWorkload::ShardedCapacityWorkload(ShardedCapacity& net,
       xc.base_port = 9000;  // listeners coexist with the local class's
       xc.seed = seed ^ 0x517cc1b727220a95ULL;
       xc.shard = j % shards;
-      xc.scope_prefix = "c" + std::to_string(j) + "x.";
+      xc.scope_prefix = cell_prefix(j, "x.");
       xc.client_ids = ids;
       engines_.push_back(
           std::make_unique<WorkloadEngine>(topo, std::move(xc)));

@@ -167,18 +167,6 @@ struct CapacitySpec {
   SimTime bottleneck_buffer_delay = 20 * kMillisecond;
 };
 
-struct CapacityTopology {
-  std::unique_ptr<Topology> topo;
-  std::vector<NodeId> clients;
-  std::vector<NodeId> servers;
-  NodeId agg_a = 0, agg_b = 0, core = 0;
-  size_t bottleneck_a = 0, bottleneck_b = 0;  ///< link indices
-};
-
-/// Builds the topology above (routes already computed).
-CapacityTopology build_capacity_topology(const CapacitySpec& spec,
-                                         uint64_t seed);
-
 /// Scale-out sharded shape: `cells` disjoint replicas of the capacity
 /// cell above, cell j pinned to shard j % shards, wired in a ring of
 /// 2 Gbps, 5 ms links through their core routers when cells > 1 (the ring
@@ -206,6 +194,15 @@ struct ShardedCapacity {
 
 ShardedCapacity build_sharded_capacity(const ShardedCapacitySpec& spec,
                                        uint64_t seed, size_t shards);
+
+/// One capacity cell on a one-shard Topology of its own.
+struct CapacityTopology : ShardedCapacity::Cell {
+  std::unique_ptr<Topology> topo;
+};
+
+/// Builds a CapacityTopology (routes already computed).
+CapacityTopology build_capacity_topology(const CapacitySpec& spec,
+                                         uint64_t seed);
 
 class WorkloadEngine;
 

@@ -104,18 +104,6 @@ void MptcpConnection::register_stats() {
     out.emit("subflows", static_cast<double>(subflows_.size()));
     out.emit("mode", static_cast<double>(mode_));
   });
-
-  // Per-policy scheduler counters live in their own child scope (removed
-  // with the parent by remove_scope). Opt-in: the determinism digests
-  // fold the whole registry, so the keys must not appear by default.
-  if (config_.sched_stats) {
-    const std::string scope = stats_scope_ + ".sched." +
-                              std::string(to_string(config_.scheduler));
-    reg.sampled_group(scope, [this](SampleSink& out) {
-      out.emit("picks", static_cast<double>(scheduler_->picks()));
-      out.emit("allocs", static_cast<double>(scheduler_->allocs()));
-    });
-  }
 }
 
 // ---------------------------------------------------------------------------

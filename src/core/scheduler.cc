@@ -21,11 +21,6 @@ std::string_view to_string(SchedulerPolicy p) {
 // Base strategy: the shared scheduling pass.
 // ---------------------------------------------------------------------------
 
-void Scheduler::allocate(uint64_t /*dsn*/, uint64_t /*len*/,
-                         MptcpSubflow& /*sf*/) {
-  ++allocs_;
-}
-
 void Scheduler::send_chunk(MptcpSubflow& sf, uint64_t dsn, Payload bytes) {
   ++picks_;
   sf.note_scheduler_pick();
@@ -180,7 +175,6 @@ class RedundantScheduler final : public Scheduler {
   }
 
   void allocate(uint64_t dsn, uint64_t len, MptcpSubflow& sf) override {
-    Scheduler::allocate(dsn, len, sf);
     sf.path_state().redundant_next = dsn + len;
   }
 

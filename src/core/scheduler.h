@@ -107,16 +107,15 @@ class Scheduler {
   virtual MptcpSubflow* pick(SchedulerHost& host, uint64_t min_space) = 0;
 
   /// Policy bookkeeping for a chunk [dsn, dsn+len) handed to `sf`
-  /// (cursor advance for cursor-keeping policies). Counted in allocs().
-  virtual void allocate(uint64_t dsn, uint64_t len, MptcpSubflow& sf);
+  /// (cursor advance for cursor-keeping policies); a no-op by default.
+  virtual void allocate(uint64_t /*dsn*/, uint64_t /*len*/,
+                        MptcpSubflow& /*sf*/) {}
 
   /// One full scheduling pass over the connection's send state.
   virtual void run(SchedulerHost& host);
 
-  // --- observability (exported under "<conn>.sched.<policy>" when
-  // MptcpConfig::sched_stats is set) -----------------------------------
+  /// Exported as the connection's "scheduler_picks" stat.
   uint64_t picks() const { return picks_; }
-  uint64_t allocs() const { return allocs_; }
 
   static std::unique_ptr<Scheduler> make(SchedulerPolicy policy);
 
@@ -135,8 +134,7 @@ class Scheduler {
   /// its send path; counts the pick and runs allocate().
   void send_chunk(MptcpSubflow& sf, uint64_t dsn, Payload bytes);
 
-  uint64_t picks_ = 0;   ///< successful picks taken by run()
-  uint64_t allocs_ = 0;  ///< chunks allocated through allocate()
+  uint64_t picks_ = 0;  ///< successful picks taken by run()
 };
 
 }  // namespace mptcp

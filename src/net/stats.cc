@@ -66,37 +66,50 @@ StatsRegistry::Entry& StatsRegistry::entry(std::string_view name) {
 
 Counter& StatsRegistry::counter(std::string_view name) {
   Entry& e = entry(name);
-  if (!e.counter) e = Entry{std::make_unique<Counter>(), nullptr, nullptr, {}, {}};
+  if (!e.counter) {
+    e = Entry{};
+    e.counter = std::make_unique<Counter>();
+  }
   return *e.counter;
 }
 
 Gauge& StatsRegistry::gauge(std::string_view name) {
   Entry& e = entry(name);
-  if (!e.gauge) e = Entry{nullptr, std::make_unique<Gauge>(), nullptr, {}, {}};
+  if (!e.gauge) {
+    e = Entry{};
+    e.gauge = std::make_unique<Gauge>();
+  }
   return *e.gauge;
 }
 
 Histogram& StatsRegistry::histogram(std::string_view name) {
   Entry& e = entry(name);
-  if (!e.hist) e = Entry{nullptr, nullptr, std::make_unique<Histogram>(), {}, {}};
+  if (!e.hist) {
+    e = Entry{};
+    e.hist = std::make_unique<Histogram>();
+  }
   return *e.hist;
 }
 
 FineHistogram& StatsRegistry::fine_histogram(std::string_view name) {
   Entry& e = entry(name);
   if (!e.fine) {
-    e = Entry{nullptr, nullptr, nullptr, {}, {},
-              std::make_unique<FineHistogram>()};
+    e = Entry{};
+    e.fine = std::make_unique<FineHistogram>();
   }
   return *e.fine;
 }
 
 void StatsRegistry::sampled(const std::string& name, SampleFn fn) {
-  entries_[name] = Entry{nullptr, nullptr, nullptr, std::move(fn), {}};
+  Entry& e = entries_[name];
+  e = Entry{};
+  e.fn = std::move(fn);
 }
 
 void StatsRegistry::sampled_group(const std::string& scope, GroupFn fn) {
-  entries_[scope] = Entry{nullptr, nullptr, nullptr, {}, std::move(fn)};
+  Entry& e = entries_[scope];
+  e = Entry{};
+  e.group = std::move(fn);
 }
 
 std::string StatsRegistry::unique_scope(const std::string& base) {

@@ -17,6 +17,15 @@ Topology::Topology(uint64_t seed, size_t shards) : seed_(seed) {
   }
 }
 
+size_t Topology::shard_for(std::string_view token) const {
+  uint64_t h = 14695981039346656037ULL;
+  for (char c : token) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return static_cast<size_t>(h % loops_.size());
+}
+
 NodeId Topology::add_host(const std::string& name, size_t shard) {
   assert(shard < loops_.size());
   const NodeId id = nodes_.size();

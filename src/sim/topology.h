@@ -29,21 +29,22 @@
 //
 // Sharding: Topology(seed, shards) creates one EventLoop (and therefore
 // one StatsRegistry partition) per shard; add_host()/add_router() pin
-// each node to a shard, and every node's machinery (sockets, timers,
-// link egress) lives in its shard's loop. A link whose endpoints sit in
-// different shards sends through a ShardChannel (sim/shard.h) instead of
-// a local propagation event: each direction appends to an outbox that
-// the destination shard drains at the next epoch barrier. ShardedEngine
-// drives the loops in lockstep epochs. Cross-shard links must have
-// prop_delay > 0 -- the propagation delay is the conservative lookahead
-// that makes barrier-drained handoff exact. Routing is shard-safe as-is:
-// build_routes() only ever installs a router's own egress links, which
-// live in that router's shard.
+// each node to a shard (shard_for() derives one from a name), and every
+// node's machinery (sockets, timers, link egress) lives in its shard's
+// loop. A link whose endpoints sit in different shards sends through a
+// ShardChannel (sim/shard.h) instead of a local propagation event: each
+// direction appends to an outbox that the destination shard drains at
+// the next epoch barrier. ShardedEngine drives the loops in lockstep
+// epochs. Cross-shard links must have prop_delay > 0 -- the propagation
+// delay is the conservative lookahead that makes barrier-drained handoff
+// exact. Routing is shard-safe as-is: build_routes() only ever installs
+// a router's own egress links, which live in that router's shard.
 #pragma once
 
 #include <cassert>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/link.h"
@@ -123,6 +124,11 @@ class Topology {
   // --- sharding -----------------------------------------------------------
   size_t shard_count() const { return loops_.size(); }
   size_t shard_of(NodeId n) const { return nodes_[n].shard; }
+  /// Stable token -> shard pinning (FNV-1a mod shard_count()), the one
+  /// name hash for spreading nodes across shards. A group of related
+  /// nodes ("f3.client", "f3.gw", ...) is pinned to one shard by hashing
+  /// a shared token before any of them is added.
+  size_t shard_for(std::string_view token) const;
   /// Every cross-shard channel, in creation order (ShardedEngine's
   /// deterministic drain order).
   const std::vector<std::unique_ptr<ShardChannel>>& channels() const {

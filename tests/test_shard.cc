@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "app/digest.h"
-#include "app/scenario.h"
 #include "app/workload.h"
 #include "net/stats.h"
 #include "sim/barrier.h"

@@ -7,10 +7,10 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "app/bulk_app.h"
 #include "app/harness.h"
-#include "app/scenario.h"
 #include "app/workload.h"
 
 namespace mptcp {
@@ -416,22 +416,22 @@ TEST(Workload, RegistryReturnsToBaselineAfterThousandConnectionChurn) {
 
 /// The one token hash: a pure function of (token, shard count), always in
 /// range, and it spreads the fleet's island tokens over every shard.
-TEST(ScenarioSpec, ShardForIsStableAndInRange) {
-  ScenarioSpec one;
+TEST(Topology, ShardForIsStableAndInRange) {
+  Topology one;
   EXPECT_EQ(one.shard_count(), 1u);
   EXPECT_EQ(one.shard_for("f0.client"), 0u);
-  ScenarioSpec zero;
-  zero.shards(0);
+  Topology zero(/*seed=*/1, /*shards=*/0);
   EXPECT_EQ(zero.shard_count(), 1u) << "zero shards clamps to one";
   EXPECT_EQ(zero.shard_for("anything"), 0u);
 
   for (size_t n : {2u, 3u, 4u}) {
-    ScenarioSpec a, b;
-    a.shards(n);
-    b.shards(n).seed(99);  // the seed does not enter placement
+    Topology a(/*seed=*/1, n);
+    Topology b(/*seed=*/99, n);  // the seed does not enter placement
     std::set<size_t> used;
     for (size_t i = 0; i < 64; ++i) {
-      const std::string token = "f" + std::to_string(i) + ".client";
+      // append(): GCC 12 reports a false -Wrestrict on "f" + to_string.
+      const std::string token =
+          std::string("f").append(std::to_string(i)).append(".client");
       const size_t s = a.shard_for(token);
       EXPECT_LT(s, n) << token;
       EXPECT_EQ(s, b.shard_for(token)) << token;
@@ -442,24 +442,23 @@ TEST(ScenarioSpec, ShardForIsStableAndInRange) {
   }
 }
 
-/// An explicit per-node shard is the one way to place a node: build()
-/// keeps declaration-order ids, names and link indices, and puts every
-/// node on exactly the shard it was declared on.
-TEST(ScenarioSpec, BuildPinsEachNodeToItsDeclaredShard) {
-  ScenarioSpec spec;
-  spec.seed(3).shards(3);
-  const NodeId h0 = spec.host("h0", 0);
-  const NodeId r1 = spec.router("r1", 1);
-  const NodeId r2 = spec.router("r2", 2);
-  const NodeId h2 = spec.host("h2", 2);
-  const size_t l01 = spec.link(h0, r1, fast_link(), fast_link());
-  const size_t l12 = spec.link(r1, r2, fast_link(), fast_link(), "core");
-  const size_t l22 = spec.link(r2, h2, fast_link(), fast_link());
-  Scenario scn = spec.build();
-  Topology& topo = scn.topo();
+/// An explicit per-node shard is the one way to place a node: ids, names
+/// and link indices follow add order, and every node lands on exactly the
+/// shard it was added to.
+TEST(Topology, PinsEachNodeToItsDeclaredShard) {
+  Topology topo(/*seed=*/3, /*shards=*/3);
+  const NodeId h0 = topo.add_host("h0", 0);
+  const NodeId r1 = topo.add_router("r1", 1);
+  const NodeId r2 = topo.add_router("r2", 2);
+  const NodeId h2 = topo.add_host("h2", 2);
+  const size_t l01 = topo.connect(h0, r1, fast_link(), fast_link());
+  const size_t l12 = topo.connect(r1, r2, fast_link(), fast_link(), "core");
+  const size_t l22 = topo.connect(r2, h2, fast_link(), fast_link());
 
   ASSERT_EQ(topo.shard_count(), 3u);
   ASSERT_EQ(topo.node_count(), 4u);
+  EXPECT_EQ(h0, 0u);
+  EXPECT_EQ(h2, 3u);
   EXPECT_EQ(topo.shard_of(h0), 0u);
   EXPECT_EQ(topo.shard_of(r1), 1u);
   EXPECT_EQ(topo.shard_of(r2), 2u);
@@ -469,6 +468,8 @@ TEST(ScenarioSpec, BuildPinsEachNodeToItsDeclaredShard) {
   EXPECT_FALSE(topo.is_router(h2));
 
   ASSERT_EQ(topo.link_count(), 3u);
+  EXPECT_EQ(l01, 0u);
+  EXPECT_EQ(l22, 2u);
   EXPECT_EQ(topo.link_node_a(l01), h0);
   EXPECT_EQ(topo.link_node_b(l01), r1);
   EXPECT_EQ(topo.link_node_a(l12), r1);
@@ -482,15 +483,19 @@ TEST(ScenarioSpec, BuildPinsEachNodeToItsDeclaredShard) {
 /// declare_two_host() pins client, gateway and server to the one shard it
 /// is given and namespaces them by prefix: an island never straddles
 /// shards.
-TEST(ScenarioSpec, DeclareTwoHostPinsWholeShapeToOneShard) {
-  ScenarioSpec spec;
-  spec.shards(4);
-  const size_t shard = spec.shard_for("f3.client");
+TEST(Topology, DeclareTwoHostPinsWholeShapeToOneShard) {
+  Topology topo(/*seed=*/1, /*shards=*/4);
+  const size_t shard = topo.shard_for("f3.client");
   const TwoHostShape shape =
-      declare_two_host(spec, {wifi_path(), threeg_path()}, "f3.", shard);
-  Scenario scn = spec.build();
-  Topology& topo = scn.topo();
+      declare_two_host(topo, {wifi_path(), threeg_path()}, "f3.", shard);
 
+  // Node order client, gw, server; link order the paths, then the wire.
+  EXPECT_EQ(shape.client, 0u);
+  EXPECT_EQ(shape.gw, 1u);
+  EXPECT_EQ(shape.server, 2u);
+  EXPECT_EQ(shape.paths, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(shape.server_link, 2u);
+  EXPECT_EQ(topo.link_ab(shape.server_link).name(), "f3.wire-ab");
   EXPECT_EQ(topo.node_name(shape.client), "f3.client");
   EXPECT_EQ(topo.node_name(shape.gw), "f3.gw");
   EXPECT_EQ(topo.node_name(shape.server), "f3.server");
