@@ -8,42 +8,80 @@ namespace bench {
 
 namespace {
 
-MptcpConfig make_config(const RunConfig& cfg) {
-  MptcpConfig m;
-  m.meta_snd_buf_max = cfg.buffer_bytes;
-  m.meta_rcv_buf_max = cfg.buffer_bytes;
-  m.opportunistic_retransmit = cfg.variant.m1_opportunistic;
-  m.penalize_slow_subflows = cfg.variant.m2_penalize;
-  m.meta_autotune = cfg.variant.m3_autotune;
-  m.cap_subflow_cwnd = cfg.variant.m4_cap;
+/// The transport a data point runs. MPTCP gets the buffer knob on its
+/// meta buffers and the variant's mechanisms; TCP gets it on its own
+/// buffers. Both autotune under M3 and draw from the run's seed.
+TransportConfig make_config(const RunConfig& cfg, TransportKind kind) {
+  TransportConfig tc;
+  tc.kind = kind;
+  MptcpConfig& m = tc.mptcp;
+  if (kind == TransportKind::kMptcp) {
+    m.meta_snd_buf_max = cfg.buffer_bytes;
+    m.meta_rcv_buf_max = cfg.buffer_bytes;
+    m.opportunistic_retransmit = cfg.variant.m1_opportunistic;
+    m.penalize_slow_subflows = cfg.variant.m2_penalize;
+    m.meta_autotune = cfg.variant.m3_autotune;
+    m.cap_subflow_cwnd = cfg.variant.m4_cap;
+  } else {
+    m.tcp.snd_buf_max = cfg.buffer_bytes;
+    m.tcp.rcv_buf_max = cfg.buffer_bytes;
+  }
   m.tcp.autotune = cfg.variant.m3_autotune;
   m.tcp.seed = cfg.seed;
-  return m;
+  return tc;
+}
+
+// The runner's only transport branches: what each kind counts as
+// buffered memory and as bytes put on the wire.
+double sender_memory(StreamSocket& s) {
+  auto* m = dynamic_cast<MptcpConnection*>(&s);
+  return static_cast<double>(
+      m ? m->sender_memory()
+        : dynamic_cast<TcpConnection&>(s).snd_buf_in_use());
+}
+
+double receiver_memory(StreamSocket& s) {
+  auto* m = dynamic_cast<MptcpConnection*>(&s);
+  return static_cast<double>(
+      m ? m->receiver_memory()
+        : dynamic_cast<TcpConnection&>(s).rcv_buf_in_use());
+}
+
+uint64_t bytes_sent(StreamSocket& s) {
+  auto* m = dynamic_cast<MptcpConnection*>(&s);
+  if (m == nullptr) return dynamic_cast<TcpConnection&>(s).stats().bytes_sent;
+  uint64_t n = 0;
+  for (size_t i = 0; i < m->subflow_count(); ++i) {
+    n += m->subflow(i)->stats().bytes_sent;
+  }
+  return n;
 }
 
 }  // namespace
 
-RunResult run_mptcp(const RunConfig& cfg) {
+RunResult run_bulk(const RunConfig& cfg, TransportKind kind,
+                   size_t path_index) {
   TwoHostRig rig(cfg.seed);
   for (const auto& p : cfg.paths) rig.add_path(p);
 
-  MptcpStack client_stack(rig.client(), make_config(cfg));
-  MptcpStack server_stack(rig.server(), make_config(cfg));
+  const TransportConfig tc = make_config(cfg, kind);
+  SocketFactory client_factory(rig.client(), tc);
+  SocketFactory server_factory(rig.server(), tc);
 
-  MptcpConnection* server_conn = nullptr;
+  StreamSocket* server_sock = nullptr;
   std::unique_ptr<BulkReceiver> bulk_rx;
   std::unique_ptr<BlockReceiver> block_rx;
-  server_stack.listen(80, [&](MptcpConnection& c) {
-    server_conn = &c;
+  server_factory.listen(80, [&](StreamSocket& s) {
+    server_sock = &s;
     if (cfg.measure_block_delay) {
-      block_rx = std::make_unique<BlockReceiver>(rig.loop(), c);
+      block_rx = std::make_unique<BlockReceiver>(rig.loop(), s);
     } else {
-      bulk_rx = std::make_unique<BulkReceiver>(c, /*verify=*/false);
+      bulk_rx = std::make_unique<BulkReceiver>(s, /*verify=*/false);
     }
   });
 
-  MptcpConnection& client = client_stack.connect(
-      rig.client_addr(0), Endpoint{rig.server_addr(), 80});
+  StreamSocket& client = client_factory.connect(
+      rig.client_addr(path_index), Endpoint{rig.server_addr(), 80});
   std::unique_ptr<BulkSender> bulk_tx;
   std::unique_ptr<BlockSender> block_tx;
   if (cfg.measure_block_delay) {
@@ -51,21 +89,24 @@ RunResult run_mptcp(const RunConfig& cfg) {
   } else {
     bulk_tx = std::make_unique<BulkSender>(client, 0);
   }
+  const auto delivered = [&] {
+    return cfg.measure_block_delay ? block_rx->blocks_completed() * 8192
+                                   : bulk_rx->bytes_received();
+  };
 
   rig.loop().run_until(cfg.warmup);
-  const uint64_t rx0 = cfg.measure_block_delay
-                           ? block_rx->blocks_completed() * 8192
-                           : bulk_rx->bytes_received();
-  uint64_t tx0 = 0;
-  for (size_t i = 0; i < client.subflow_count(); ++i) {
-    tx0 += client.subflow(i)->stats().bytes_sent;
-  }
+  const uint64_t rx0 = delivered();
+  const uint64_t tx0 = bytes_sent(client);
 
-  TimeSeries snd_mem, rcv_mem;
-  PeriodicSampler sampler(rig.loop(), 10 * kMillisecond, [&](SimTime t) {
-    snd_mem.record(t, static_cast<double>(client.sender_memory()));
-    if (server_conn != nullptr) {
-      rcv_mem.record(t, static_cast<double>(server_conn->receiver_memory()));
+  // Running sums, added in sample order, give the means.
+  double snd_sum = 0, rcv_sum = 0;
+  size_t snd_n = 0, rcv_n = 0;
+  PeriodicSampler sampler(rig.loop(), 10 * kMillisecond, [&](SimTime) {
+    snd_sum += sender_memory(client);
+    ++snd_n;
+    if (server_sock != nullptr) {
+      rcv_sum += receiver_memory(*server_sock);
+      ++rcv_n;
     }
   });
 
@@ -73,19 +114,15 @@ RunResult run_mptcp(const RunConfig& cfg) {
 
   RunResult out;
   const double secs = to_seconds(cfg.duration);
-  const uint64_t rx1 = cfg.measure_block_delay
-                           ? block_rx->blocks_completed() * 8192
-                           : bulk_rx->bytes_received();
-  uint64_t tx1 = 0;
-  for (size_t i = 0; i < client.subflow_count(); ++i) {
-    tx1 += client.subflow(i)->stats().bytes_sent;
+  out.goodput_bps = static_cast<double>(delivered() - rx0) * 8.0 / secs;
+  out.throughput_bps =
+      static_cast<double>(bytes_sent(client) - tx0) * 8.0 / secs;
+  out.snd_mem_mean = snd_n == 0 ? 0.0 : snd_sum / static_cast<double>(snd_n);
+  out.rcv_mem_mean = rcv_n == 0 ? 0.0 : rcv_sum / static_cast<double>(rcv_n);
+  if (auto* m = client_factory.as_mptcp(client)) {
+    out.m1_count = m->meta_stats().opportunistic_retransmits;
+    out.m2_count = m->meta_stats().penalizations;
   }
-  out.goodput_bps = static_cast<double>(rx1 - rx0) * 8.0 / secs;
-  out.throughput_bps = static_cast<double>(tx1 - tx0) * 8.0 / secs;
-  out.snd_mem_mean = snd_mem.mean();
-  out.rcv_mem_mean = rcv_mem.mean();
-  out.m1_count = client.meta_stats().opportunistic_retransmits;
-  out.m2_count = client.meta_stats().penalizations;
   if (cfg.measure_block_delay) out.app_delays = block_rx->delays();
   if (!cfg.stats_out.empty()) {
     if (std::FILE* f = std::fopen(cfg.stats_out.c_str(), "w")) {
@@ -93,72 +130,6 @@ RunResult run_mptcp(const RunConfig& cfg) {
       std::fclose(f);
     }
   }
-  return out;
-}
-
-RunResult run_tcp(const RunConfig& cfg, size_t path_index) {
-  TwoHostRig rig(cfg.seed);
-  for (const auto& p : cfg.paths) rig.add_path(p);
-
-  TransportConfig tc;
-  tc.kind = TransportKind::kTcp;
-  tc.mptcp.tcp.snd_buf_max = cfg.buffer_bytes;
-  tc.mptcp.tcp.rcv_buf_max = cfg.buffer_bytes;
-  tc.mptcp.tcp.autotune = cfg.variant.m3_autotune;
-  tc.mptcp.tcp.seed = cfg.seed;
-  SocketFactory client_factory(rig.client(), tc);
-  SocketFactory server_factory(rig.server(), tc);
-
-  TcpConnection* server_conn = nullptr;
-  std::unique_ptr<BulkReceiver> bulk_rx;
-  std::unique_ptr<BlockReceiver> block_rx;
-  server_factory.listen(80, [&](StreamSocket& s) {
-    server_conn = server_factory.as_tcp(s);
-    if (cfg.measure_block_delay) {
-      block_rx = std::make_unique<BlockReceiver>(rig.loop(), s);
-    } else {
-      bulk_rx = std::make_unique<BulkReceiver>(s, false);
-    }
-  });
-
-  StreamSocket& client_sock = client_factory.connect(
-      rig.client_addr(path_index), Endpoint{rig.server_addr(), 80});
-  TcpConnection& client = *client_factory.as_tcp(client_sock);
-  std::unique_ptr<BulkSender> bulk_tx;
-  std::unique_ptr<BlockSender> block_tx;
-  if (cfg.measure_block_delay) {
-    block_tx = std::make_unique<BlockSender>(rig.loop(), client_sock);
-  } else {
-    bulk_tx = std::make_unique<BulkSender>(client_sock, 0);
-  }
-
-  rig.loop().run_until(cfg.warmup);
-  const uint64_t rx0 = cfg.measure_block_delay
-                           ? block_rx->blocks_completed() * 8192
-                           : bulk_rx->bytes_received();
-  const uint64_t tx0 = client.stats().bytes_sent;
-
-  TimeSeries snd_mem, rcv_mem;
-  PeriodicSampler sampler(rig.loop(), 10 * kMillisecond, [&](SimTime t) {
-    snd_mem.record(t, static_cast<double>(client.snd_buf_in_use()));
-    if (server_conn) {
-      rcv_mem.record(t, static_cast<double>(server_conn->rcv_buf_in_use()));
-    }
-  });
-
-  rig.loop().run_until(cfg.warmup + cfg.duration);
-
-  RunResult out;
-  const double secs = to_seconds(cfg.duration);
-  const uint64_t rx1 = cfg.measure_block_delay
-                           ? block_rx->blocks_completed() * 8192
-                           : bulk_rx->bytes_received();
-  out.goodput_bps = static_cast<double>(rx1 - rx0) * 8.0 / secs;
-  out.throughput_bps =
-      static_cast<double>(client.stats().bytes_sent - tx0) * 8.0 / secs;
-  out.snd_mem_mean = snd_mem.mean();
-  out.rcv_mem_mean = rcv_mem.mean();
-  if (cfg.measure_block_delay) out.app_delays = block_rx->delays();
   return out;
 }
 

@@ -95,11 +95,20 @@ struct RunConfig {
   std::string stats_out;  ///< if set, write the run's full stats JSON here
 };
 
-/// Runs MPTCP (client sends, server receives) and reports the data point.
-RunResult run_mptcp(const RunConfig& cfg);
+/// Runs one bulk (or Fig. 7 block) data point over `kind`, client sending
+/// and server receiving; the connection starts on paths[path_index].
+RunResult run_bulk(const RunConfig& cfg, TransportKind kind,
+                   size_t path_index);
+
+/// Runs MPTCP over every path, its first subflow on paths[0].
+inline RunResult run_mptcp(const RunConfig& cfg) {
+  return run_bulk(cfg, TransportKind::kMptcp, 0);
+}
 
 /// Runs single-path TCP over paths[path_index] with the same buffer knob.
-RunResult run_tcp(const RunConfig& cfg, size_t path_index);
+inline RunResult run_tcp(const RunConfig& cfg, size_t path_index) {
+  return run_bulk(cfg, TransportKind::kTcp, path_index);
+}
 
 /// Prints one aligned table row: label then values in Mbps.
 void print_row(const std::string& label, const std::vector<double>& mbps);

@@ -12,10 +12,14 @@
 //   * bonding is strongest at small sizes (packet-level striping needs no
 //     per-connection setup to use both links);
 //   * beyond ~100 KB MPTCP roughly doubles TCP and edges out bonding.
+//
+// Every response byte is checked against the pattern; a corrupted byte
+// fails the run (exit 1, message on stderr) without touching stdout.
 #include <cstdio>
 #include <memory>
 
-#include "app/http_app.h"
+#include "app/client_pool.h"
+#include "app/server_app.h"
 #include "bench_util.h"
 #include "bond/bonding.h"
 
@@ -43,7 +47,8 @@ TransportConfig http_config(bool mptcp_enabled) {
   return cfg;
 }
 
-double run_two_path(bool mptcp_enabled, uint64_t size) {
+double run_two_path(bool mptcp_enabled, uint64_t size,
+                    PayloadCheck& checked) {
   const PathSpec eth =
       ethernet_path(kLinkRate, 100 * kMicrosecond, 2 * kMillisecond);
   Topology t;
@@ -53,17 +58,18 @@ double run_two_path(bool mptcp_enabled, uint64_t size) {
 
   SocketFactory cs(t.host(shape.client), http_config(mptcp_enabled));
   SocketFactory ss(t.host(shape.server), http_config(mptcp_enabled));
-  HttpServer server(ss, 80);
+  ServerApp server(ss, 80);
   HttpClientPool pool(cs, t.addr(shape.client, 0),
                       Endpoint{t.addr(shape.server, 0), 80}, kClients, size);
   pool.start();
   t.loop(0).run_until(kWarmup);
   const uint64_t c0 = pool.completed();
   t.loop(0).run_until(kWarmup + kMeasure);
+  checked += pool.payload_check();
   return static_cast<double>(pool.completed() - c0) / to_seconds(kMeasure);
 }
 
-double run_bonding(uint64_t size) {
+double run_bonding(uint64_t size, PayloadCheck& checked) {
   EventLoop loop;
   Classifier net;
   Host client(loop, "client"), server(loop, "server");
@@ -94,12 +100,13 @@ double run_bonding(uint64_t size) {
 
   SocketFactory cs(client, http_config(false));
   SocketFactory ss(server, http_config(false));
-  HttpServer http(ss, 80);
+  ServerApp http(ss, 80);
   HttpClientPool pool(cs, caddr, Endpoint{saddr, 80}, kClients, size);
   pool.start();
   loop.run_until(kWarmup);
   const uint64_t c0 = pool.completed();
   loop.run_until(kWarmup + kMeasure);
+  checked += pool.payload_check();
   return static_cast<double>(pool.completed() - c0) / to_seconds(kMeasure);
 }
 
@@ -110,14 +117,18 @@ int main() {
               "clients, 2 x 1 Gbps\n");
   std::printf("%-12s %14s %14s %14s\n", "size_KB", "MPTCP", "bonding",
               "regularTCP");
+  PayloadCheck checked;
   for (uint64_t kb : {4, 10, 20, 30, 50, 100, 150, 200, 300}) {
-    const double mptcp_rps = run_two_path(true, kb * 1000);
-    const double bond_rps = run_bonding(kb * 1000);
-    const double tcp_rps = run_two_path(false, kb * 1000);
+    const double mptcp_rps = run_two_path(true, kb * 1000, checked);
+    const double bond_rps = run_bonding(kb * 1000, checked);
+    const double tcp_rps = run_two_path(false, kb * 1000, checked);
     std::printf("%-12llu %14.0f %14.0f %14.0f\n",
                 static_cast<unsigned long long>(kb), mptcp_rps, bond_rps,
                 tcp_rps);
     std::fflush(stdout);
   }
-  return 0;
+  if (checked.integrity_errors == 0) return 0;
+  std::fprintf(stderr, "integrity BROKEN: %llu response bytes corrupted\n",
+               static_cast<unsigned long long>(checked.integrity_errors));
+  return 1;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 namespace mptcp {
 
@@ -9,6 +10,16 @@ namespace {
 
 /// Fixed backoff before a dead connection is re-dialled.
 constexpr SimTime kReconnectDelay = 10 * kMillisecond;
+
+/// The preferred address if its interface is up, else the host's first
+/// live one (a real resolver/route lookup would do the same).
+IpAddr bind_addr(Host& host, IpAddr preferred) {
+  if (host.interface_up(preferred)) return preferred;
+  for (IpAddr a : host.addresses()) {
+    if (host.interface_up(a)) return a;
+  }
+  return preferred;
+}
 
 }  // namespace
 
@@ -55,18 +66,8 @@ void ConnectionPool::stop() {
 
 void ConnectionPool::dial(Conn& c) {
   if (stopped_ || c.sock != nullptr) return;
-  // Bind the preferred address if its interface is up, else the first
-  // live one (same fallback as the legacy client pool).
-  IpAddr addr = local_addr_;
-  if (!factory_.host().interface_up(addr)) {
-    for (IpAddr a : factory_.host().addresses()) {
-      if (factory_.host().interface_up(a)) {
-        addr = a;
-        break;
-      }
-    }
-  }
-  StreamSocket& s = factory_.connect(addr, server_);
+  StreamSocket& s =
+      factory_.connect(bind_addr(factory_.host(), local_addr_), server_);
   factory_.release_when_closed(s);
   c.sock = &s;
   c.connected = false;
@@ -257,6 +258,73 @@ size_t ConnectionPool::connected_conns() const {
     if (c->sock != nullptr && c->connected) ++n;
   }
   return n;
+}
+
+// ---------------------------------------------------------------------------
+// HttpClientPool
+// ---------------------------------------------------------------------------
+
+HttpClientPool::HttpClientPool(SocketFactory& factory, IpAddr local_addr,
+                               Endpoint server, size_t clients,
+                               uint64_t response_size)
+    : factory_(factory),
+      local_addr_(local_addr),
+      server_(server),
+      response_size_(response_size),
+      clients_(clients) {}
+
+void HttpClientPool::start() {
+  for (Client& c : clients_) start_request(c);
+}
+
+void HttpClientPool::start_request(Client& c) {
+  c.received = 0;
+  c.done = false;
+  StreamSocket& conn =
+      factory_.connect(bind_addr(factory_.host(), local_addr_), server_);
+  factory_.release_when_closed(conn);
+  c.sock = &conn;
+  Client* raw = &c;
+  conn.on_connected = [this, raw] {
+    raw->sock->write(mpget_encode(response_size_));
+  };
+  conn.on_readable = [this, raw] { on_client_readable(*raw); };
+  conn.on_closed = [this, raw] {
+    if (!raw->done) {
+      // Connection died before the full response: count and retry.
+      raw->done = true;
+      ++errors_;
+      raw->sock = nullptr;
+      start_request(*raw);
+    }
+  };
+}
+
+void HttpClientPool::on_client_readable(Client& c) {
+  // The client checks the response in place on the receive queue's
+  // views, then consume() releases it without copying. 16 KiB steps: the
+  // window-update cadence (and so the packet trace) follows how much each
+  // call releases, and this matches the historical read-loop quantum.
+  for (;;) {
+    const size_t n = std::min<size_t>(c.sock->readable_bytes(), 16 * 1024);
+    if (n == 0) break;
+    checked_.record(*c.sock,
+                    readable_pattern_mismatches(*c.sock, c.received, n));
+    c.sock->consume(n);
+    c.received += n;
+  }
+  if (!c.done && c.sock->at_eof()) {
+    c.done = true;
+    if (c.received == response_size_) {
+      ++completed_;
+    } else {
+      ++errors_;
+    }
+    StreamSocket* old = std::exchange(c.sock, nullptr);
+    old->close();
+    old->on_readable = old->on_closed = old->on_connected = nullptr;
+    start_request(c);
+  }
 }
 
 }  // namespace mptcp

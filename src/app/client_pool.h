@@ -1,7 +1,6 @@
-// The serving-stack client: a pool of persistent connections with
-// request multiplexing.
+// The clients of ServerApp: a pool of persistent connections with
+// request multiplexing, and the Fig. 11 closed loop (HttpClientPool).
 //
-// Where HttpClientPool (http_app.h) burns one connection per transfer,
 // ConnectionPool keeps a fixed set of persistent connections to one
 // server and multiplexes framed requests over them: submit() picks the
 // least-loaded connection with spare mux capacity (lowest index on
@@ -61,8 +60,7 @@ struct RequestOutcome {
 class ConnectionPool {
  public:
   /// `local_addr`: preferred bind address for the pool's connections
-  /// (falls back to the host's first live interface, as HttpClientPool
-  /// does).
+  /// (falls back to the host's first live interface).
   ConnectionPool(SocketFactory& factory, IpAddr local_addr, Endpoint server,
                  PoolConfig cfg);
   ~ConnectionPool();
@@ -140,6 +138,43 @@ class ConnectionPool {
   PayloadCheck checked_;
   bool started_ = false;
   bool stopped_ = false;
+};
+
+/// Closed-loop MPGET clients (Fig. 11: apachebench against Apache). Each
+/// client opens a connection, requests `response_size` bytes, reads to
+/// EOF and starts over; a connection that dies early counts as an error
+/// and is retried.
+class HttpClientPool {
+ public:
+  /// `local_addr`: the address new connections bind (subflows may join
+  /// from the host's other addresses automatically when MPTCP is on).
+  HttpClientPool(SocketFactory& factory, IpAddr local_addr, Endpoint server,
+                 size_t clients, uint64_t response_size);
+
+  void start();
+  uint64_t completed() const { return completed_; }
+  uint64_t errors() const { return errors_; }
+  /// Response bytes checked against the pattern on receipt.
+  const PayloadCheck& payload_check() const { return checked_; }
+
+ private:
+  struct Client {
+    StreamSocket* sock = nullptr;
+    uint64_t received = 0;
+    bool done = false;
+  };
+
+  void start_request(Client& c);
+  void on_client_readable(Client& c);
+
+  SocketFactory& factory_;
+  IpAddr local_addr_;
+  Endpoint server_;
+  uint64_t response_size_;
+  std::vector<Client> clients_;  ///< never resized: callbacks hold pointers
+  uint64_t completed_ = 0;
+  uint64_t errors_ = 0;
+  PayloadCheck checked_;
 };
 
 }  // namespace mptcp

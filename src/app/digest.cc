@@ -5,9 +5,10 @@
 #include <vector>
 
 #include "app/bulk_app.h"
+#include "app/client_pool.h"
 #include "app/fleet.h"
 #include "app/harness.h"
-#include "app/http_app.h"
+#include "app/server_app.h"
 #include "app/workload.h"
 #include "core/mptcp_stack.h"
 #include "sim/node.h"
@@ -338,7 +339,7 @@ DigestResult run_pingpong_digest(const DigestConfig& cfg) {
   tc.mptcp.tcp.seed = cfg.seed;
   SocketFactory server_factory(topo.host(pong), tc);
   SocketFactory client_factory(topo.host(ping), tc);
-  HttpServer server(server_factory, 80);
+  ServerApp server(server_factory, 80);
   HttpClientPool client(client_factory, topo.addr(ping),
                         Endpoint{topo.addr(pong), 80}, /*clients=*/1,
                         /*response_size=*/20 * 1024);
@@ -352,6 +353,7 @@ DigestResult run_pingpong_digest(const DigestConfig& cfg) {
   for (uint64_t p : {pkts_ab, pkts_ba}) fnv_u64(hash, p);
   out.packets_hashed = pkts_ab + pkts_ba;
   out.bytes_delivered = server.bytes_served();
+  out.payload_check = client.payload_check();
   out.stats_json = topo.dump_stats();
   out.digest = hash;
   return out;

@@ -61,8 +61,9 @@ struct DigestResult {
   uint64_t digest = 0;          ///< FNV-1a 64 over packets + final stats
   uint64_t packets_hashed = 0;  ///< link crossings folded into the digest
   uint64_t bytes_delivered = 0;
-  /// Delivered-byte check of the workload-engine scenarios (capacity,
-  /// sharded capacity, fleet, serving); not folded into the digest.
+  /// Delivered-byte check of every scenario but two-host (the ping-pong
+  /// client's responses, the workload engines' flows and pools); not
+  /// folded into the digest.
   PayloadCheck payload_check;
   std::string stats_json;       ///< the run's full stats export
 };

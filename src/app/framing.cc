@@ -1,5 +1,7 @@
 #include "app/framing.h"
 
+#include <algorithm>
+
 namespace mptcp {
 
 namespace {
@@ -41,6 +43,10 @@ std::vector<uint8_t> mpget_encode(uint64_t response_size) {
   std::copy(std::begin(kMpgetMagic), std::end(kMpgetMagic), req.begin());
   put_u64(req, 8, response_size);
   return req;
+}
+
+bool mpget_magic(std::span<const uint8_t> head) {
+  return std::equal(kMpgetMagic, kMpgetMagic + kCodecMagicSize, head.begin());
 }
 
 uint64_t mpget_decode_size(std::span<const uint8_t> req) {

@@ -1,12 +1,13 @@
 // Request/response framing for the layered serving stack.
 //
-// Two wire protocols live here:
+// Two wire protocols live here, and ServerApp (app/server_app.h) serves
+// both on one port: the first kCodecMagicSize bytes a client sends tell
+// them apart ('MPGE' vs 'MPRQ').
 //
-//  * The legacy MPGET codec (a 16-byte magic + big-endian size request,
-//    response streamed raw and terminated by FIN). http_app.{h,cc} and
-//    the connection-per-transfer workload delegate to these encoders so
-//    the bytes on the wire -- and therefore the pinned determinism
-//    digests -- are exactly what the old monolith produced.
+//  * The MPGET codec (a 16-byte magic + big-endian size request,
+//    response streamed raw and terminated by FIN) -- one connection per
+//    transfer, as in the Fig. 11 closed loop. Its bytes on the wire are
+//    pinned by the determinism digests, so it must not change.
 //
 //  * The serving protocol: fixed 32-byte requests and length-prefixed
 //    response frames, which is what makes persistent connections with
@@ -39,9 +40,15 @@
 
 namespace mptcp {
 
-// --- legacy MPGET codec (wire-compatible with the old monolith) ------------
+// --- MPGET codec (wire-frozen) ---------------------------------------------
 
 inline constexpr size_t kMpgetRequestSize = 16;
+
+/// Leading request bytes that name the codec: 'MPGE' or 'MPRQ'.
+inline constexpr size_t kCodecMagicSize = 4;
+
+/// True when `head` (>= kCodecMagicSize bytes) opens an MPGET request.
+bool mpget_magic(std::span<const uint8_t> head);
 
 /// Encodes the 16-byte MPGET request asking for `response_size` bytes.
 std::vector<uint8_t> mpget_encode(uint64_t response_size);

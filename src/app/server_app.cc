@@ -13,11 +13,9 @@ ServerApp::ServerApp(SocketFactory& factory, Port port, ServingConfig cfg)
 
 ServerApp::~ServerApp() {
   for (auto& c : conns_) {
-    if (c->sock != nullptr) {
-      c->sock->on_readable = nullptr;
-      c->sock->on_send_space = nullptr;
-      c->sock->on_closed = nullptr;
-    }
+    c->sock->on_readable = nullptr;
+    c->sock->on_send_space = nullptr;
+    c->sock->on_closed = nullptr;
     if (c->service) c->service->cancel();
   }
 }
@@ -35,13 +33,58 @@ void ServerApp::accept(StreamSocket& c) {
   conn->sock = &c;
   Conn* raw = conn.get();
   conns_.push_back(std::move(conn));
-  c.on_readable = [raw] { raw->parse_requests(); };
-  c.on_send_space = [raw] { raw->pump_response(); };
+  c.on_readable = [raw] { raw->on_readable(); };
+  c.on_send_space = [raw] {
+    if (raw->codec == Conn::Codec::kMpget) {
+      raw->pump_mpget();
+    } else {
+      raw->pump_response();
+    }
+  };
   c.on_closed = [this, raw] { reap(raw); };
 }
 
-void ServerApp::Conn::parse_requests() {
+void ServerApp::Conn::on_readable() {
   if (dead) return;
+  if (codec == Codec::kUnread) {
+    if (sock->readable_bytes() < kCodecMagicSize) return;
+    uint8_t magic[kCodecMagicSize];
+    sock->peek_copy(0, magic);
+    codec = mpget_magic(magic) ? Codec::kMpget : Codec::kFramed;
+  }
+  if (codec == Codec::kFramed) {
+    parse_requests();
+    return;
+  }
+  if (responding || sock->readable_bytes() < kMpgetRequestSize) return;
+  uint8_t req[kMpgetRequestSize];
+  sock->peek_copy(0, req);
+  sock->consume(kMpgetRequestSize);
+  mpget_size = mpget_decode_size(req);
+  responding = true;
+  pump_mpget();
+}
+
+void ServerApp::Conn::pump_mpget() {
+  if (!responding || dead) return;
+  // The wire-frozen MPGET body: raw pattern bytes in 16 KiB writes, no
+  // framing, so the pinned digests see the historical packet stream.
+  while (response_sent < mpget_size) {
+    const size_t chunk = static_cast<size_t>(
+        std::min<uint64_t>(16 * 1024, mpget_size - response_sent));
+    const size_t n = sock->write(
+        pattern_view(response_sent, std::min(chunk, sock->send_space())));
+    response_sent += n;
+    self->bytes_ += n;
+    if (n < chunk) return;  // buffer full; resume on send space
+  }
+  dead = true;
+  ++self->served_;
+  if (self->on_conn_done) self->on_conn_done(*sock);
+  sock->close();
+}
+
+void ServerApp::Conn::parse_requests() {
   while (sock->readable_bytes() >= kServingRequestSize) {
     uint8_t buf[kServingRequestSize];
     sock->peek_copy(0, buf);
@@ -175,7 +218,7 @@ void ServerApp::finish_request(Conn& c, bool served) {
 void ServerApp::for_each_conn(
     const std::function<void(StreamSocket&)>& fn) {
   for (const auto& c : conns_) {
-    if (c->sock != nullptr && !c->dead) fn(*c->sock);
+    if (!c->dead) fn(*c->sock);
   }
 }
 

@@ -1,12 +1,17 @@
-// The serving-stack server: persistent connections, pipelined requests,
-// explicit overload behavior.
+// The one server. Each connection's codec is read from its first bytes
+// (the magics of app/framing.h), never configured:
 //
-// Where the legacy HttpServer (http_app.h) answers one MPGET per
-// connection and closes, ServerApp speaks the framed serving protocol
-// (app/framing.h): each connection carries a pipeline of 32-byte
-// requests, and responses stream back as length-prefixed frames in
-// request order. That makes the *server* the place where production
-// overload semantics live, all of them explicit and deterministic:
+//  * 'MPGE': one MPGET request (the Fig. 11 closed loop, connection-per-
+//    transfer workload classes). The server streams the named number of
+//    raw pattern bytes in 16 KiB writes, then closes. This path is
+//    wire-frozen -- the pingpong, capacity and fleet digests pin it --
+//    and never sees a service time or a reject.
+//  * anything else: the framed serving protocol. Each connection carries
+//    a pipeline of 32-byte requests, answered by length-prefixed frames
+//    in request order; a bad magic or version drops the connection.
+//
+// The framed path is where production overload semantics live, all of
+// them explicit and deterministic:
 //
 //  * accept bound: at most max_conns connections; extras are closed on
 //    accept (conns_refused);
@@ -25,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -33,6 +37,7 @@
 #include "app/socket_factory.h"
 #include "net/rng.h"
 #include "sim/event_loop.h"
+#include "tcp/tcp_buffers.h"
 
 namespace mptcp {
 
@@ -59,12 +64,13 @@ struct ServingConfig {
   uint64_t seed = 1;  ///< service-time sampling stream
 };
 
-/// Serves the framed protocol on a port. All counters are exact and
-/// deterministic; the workload engine samples them into the stats
-/// registry for serving-mode classes.
+/// Serves MPGET and the framed protocol on a port. All counters are exact
+/// and deterministic; the workload engine samples them into the stats
+/// registry for serving-mode classes. Served requests and bytes count
+/// both codecs; rejects and inflight move only on framed connections.
 class ServerApp {
  public:
-  ServerApp(SocketFactory& factory, Port port, ServingConfig cfg);
+  ServerApp(SocketFactory& factory, Port port, ServingConfig cfg = {});
   ~ServerApp();
 
   ServerApp(const ServerApp&) = delete;
@@ -79,7 +85,15 @@ class ServerApp {
   size_t peak_inflight() const { return peak_inflight_; }
   size_t open_conns() const { return conns_.size(); }
 
-  /// Visits every open connection, in accept order.
+  /// Invoked with each MPGET connection just before the server closes it
+  /// (the response is fully written). The server is the data *sender*,
+  /// so its transport state -- congestion-control caps, autotune growth
+  /// -- is only observable here or via for_each_conn before teardown.
+  std::function<void(StreamSocket&)> on_conn_done;
+
+  /// Visits every open connection, in accept order: finished MPGET
+  /// connections (already handed to on_conn_done) and dropped ones are
+  /// skipped.
   void for_each_conn(const std::function<void(StreamSocket&)>& fn);
 
  private:
@@ -89,18 +103,25 @@ class ServerApp {
   };
 
   struct Conn {
+    /// The codec this connection speaks, read from its first bytes.
+    enum class Codec : uint8_t { kUnread, kFramed, kMpget };
+
     ServerApp* self = nullptr;
     StreamSocket* sock = nullptr;
-    std::deque<PendingReq> pipeline;  ///< front = next to answer
+    Codec codec = Codec::kUnread;
+    Fifo<PendingReq> pipeline;  ///< front = next to answer (framed)
     bool responding = false;       ///< the front response is streaming
     bool waiting_service = false;  ///< service-time timer armed
     uint64_t response_sent = 0;    ///< body bytes of the active response
+    uint64_t mpget_size = 0;       ///< MPGET: the requested body size
     std::vector<uint8_t> frame_buf;  ///< staged frame being written
     size_t frame_off = 0;
     bool tail_sent_ = false;  ///< fin/reject frame staged for the front
-    bool dead = false;
+    bool dead = false;  ///< closed by the server: nothing more to do
     std::unique_ptr<Timer> service;  ///< pending service-time delay
 
+    void on_readable();  ///< reads the codec, then requests
+    void pump_mpget();
     void parse_requests();
     void maybe_start_response();
     void pump_response();

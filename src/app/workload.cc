@@ -136,7 +136,7 @@ WorkloadEngine::WorkloadEngine(Topology& topo, WorkloadConfig cfg)
     const auto sum_servers = [this, k](auto&& get) {
       double n = 0;
       for (size_t i = k; i < servers_.size(); i += classes_.size()) {
-        if (servers_[i].serving) n += get(*servers_[i].serving);
+        n += get(*servers_[i].app);
       }
       return n;
     };
@@ -182,27 +182,21 @@ void WorkloadEngine::start() {
   if (started_) return;
   started_ = true;
 
-  // Servers: one factory + service per (server host, class), since the
-  // transport of a listening port is a property of the class. Legacy
-  // classes get the MPGET server; serving-mode classes get a ServerApp.
+  // Servers: one factory + ServerApp per (server host, class), since the
+  // transport of a listening port is a property of the class. Each
+  // connection's request magic tells the server MPGET from framed.
   for (NodeId s : cfg_.servers) {
     for (size_t k = 0; k < classes_.size(); ++k) {
       const FlowClass& spec = classes_[k].spec;
       ServerSlot slot;
       slot.factory = std::make_unique<SocketFactory>(topo_.host(s),
                                                      spec.transport);
-      if (spec.app_mode == FlowClass::AppMode::kConnectionPerTransfer) {
-        slot.http = std::make_unique<HttpServer>(
-            *slot.factory, static_cast<Port>(cfg_.base_port + k));
-        slot.http->on_conn_done = cfg_.on_server_conn_done;
-      } else {
-        ServingConfig sc = spec.server;
-        // Distinct service-time stream per (server host, class) slot.
-        sc.seed ^= cfg_.seed ^
-                   (0x2545f4914f6cdd1dULL * (servers_.size() + 1));
-        slot.serving = std::make_unique<ServerApp>(
-            *slot.factory, static_cast<Port>(cfg_.base_port + k), sc);
-      }
+      ServingConfig sc = spec.server;
+      // Distinct service-time stream per (server host, class) slot.
+      sc.seed ^= cfg_.seed ^ (0x2545f4914f6cdd1dULL * (servers_.size() + 1));
+      slot.app = std::make_unique<ServerApp>(
+          *slot.factory, static_cast<Port>(cfg_.base_port + k), sc);
+      slot.app->on_conn_done = cfg_.on_server_conn_done;
       servers_.push_back(std::move(slot));
     }
   }
@@ -338,7 +332,7 @@ void WorkloadEngine::launch(ClientSlot& slot, bool persistent) {
   flows_.emplace(f, std::move(flow));
   peak_concurrent_ = std::max(peak_concurrent_, flows_.size());
 
-  s.on_connected = [f] { f->sock->write(make_http_request(f->want)); };
+  s.on_connected = [f] { f->sock->write(mpget_encode(f->want)); };
   s.on_readable = [this, f] { drain(*f); };
   s.on_closed = [this, f] {
     if (!f->done) finish(*f, /*ok=*/false);
@@ -409,10 +403,7 @@ void WorkloadEngine::for_each_open_socket(
 
 void WorkloadEngine::for_each_open_server_conn(
     const std::function<void(StreamSocket&)>& fn) {
-  for (ServerSlot& slot : servers_) {
-    if (slot.http) slot.http->for_each_conn(fn);
-    if (slot.serving) slot.serving->for_each_conn(fn);
-  }
+  for (ServerSlot& slot : servers_) slot.app->for_each_conn(fn);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 // The WorkloadEngine models *load*, not a fixed client count, in one of
 // two per-class application modes:
 //
-//  * kConnectionPerTransfer (the legacy shape): each class opens new
+//  * kConnectionPerTransfer (the Fig. 11 shape): each class opens new
 //    connections from every client host as a Poisson process, draws a
 //    flow size from a configurable distribution, fetches that many bytes
-//    from a round-robin-chosen server over a fresh connection, and
-//    records the flow completion time. Classes can additionally pin
-//    long-lived "persistent" connections open for the whole run, which
-//    is how the capacity benchmark sustains thousands of concurrent
-//    MPTCP connections over a shared bottleneck.
+//    from a round-robin-chosen server with one MPGET request over a
+//    fresh connection, and records the flow completion time. Classes can
+//    additionally pin long-lived "persistent" connections open for the
+//    whole run, which is how the capacity benchmark sustains thousands of
+//    concurrent MPTCP connections over a shared bottleneck.
 //
 //  * kServing (the production serving stack): each (client, class) pair
 //    keeps a ConnectionPool of persistent connections to one server
@@ -21,6 +21,9 @@
 //    numbers; server rejections (503s) are counted per class.
 //    set_rate_scale() steps the request rate mid-run, which is how the
 //    flash-crowd benchmark drives a x10 load spike.
+//
+// Either way the server side is one ServerApp per (server host, class),
+// which reads each connection's codec from its request magic.
 //
 // Every class carries its own TransportConfig (TCP vs MPTCP, buffer
 // sizes, subflow policy) and an optional path set -- the subset of each
@@ -42,7 +45,6 @@
 #include <vector>
 
 #include "app/client_pool.h"
-#include "app/http_app.h"
 #include "app/server_app.h"
 #include "app/socket_factory.h"
 #include "sim/topology.h"
@@ -78,7 +80,7 @@ struct FlowClass {
   // --- serving-stack mode ---------------------------------------------
 
   enum class AppMode : uint8_t {
-    kConnectionPerTransfer,  ///< legacy MPGET, one connection per flow
+    kConnectionPerTransfer,  ///< MPGET, one connection per flow
     kServing,                ///< open-loop requests over connection pools
   };
   AppMode app_mode = AppMode::kConnectionPerTransfer;
@@ -88,8 +90,8 @@ struct FlowClass {
   /// Client pool shape for kServing (connections, mux limit, retry
   /// budget).
   PoolConfig pool;
-  /// Server-side serving knobs for kServing (admission bounds,
-  /// service-time model).
+  /// Server-side serving knobs (admission bounds, service-time model);
+  /// they act on framed requests only, so on kServing classes.
   ServingConfig server;
 };
 
@@ -352,12 +354,11 @@ class WorkloadEngine {
   WorkloadConfig cfg_;
   std::vector<ClassState> classes_;
   std::vector<std::unique_ptr<ClientSlot>> slots_;
-  /// Server side: one factory per (server host, class), backing either
-  /// the legacy MPGET server or a serving-stack ServerApp.
+  /// Server side: one factory and ServerApp per (server host, class);
+  /// the server tells MPGET from framed requests by their magic.
   struct ServerSlot {
     std::unique_ptr<SocketFactory> factory;
-    std::unique_ptr<HttpServer> http;        ///< kConnectionPerTransfer
-    std::unique_ptr<ServerApp> serving;      ///< kServing
+    std::unique_ptr<ServerApp> app;
   };
   std::vector<ServerSlot> servers_;
   std::unordered_map<Flow*, std::unique_ptr<Flow>> flows_;

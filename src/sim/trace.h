@@ -1,6 +1,7 @@
-// Lightweight measurement utilities: time series, summary statistics,
-// histograms and a periodic sampler. Used by tests, benches and examples
-// to reproduce the paper's plots as printed tables.
+// Lightweight measurement utilities: summary statistics with exact
+// percentiles and equal-width histograms, and a periodic sampler. Used by
+// tests, benches and examples to reproduce the paper's plots as printed
+// tables.
 #pragma once
 
 #include <algorithm>
@@ -13,58 +14,11 @@
 
 namespace mptcp {
 
-/// A sampled time series of doubles.
-class TimeSeries {
- public:
-  void record(SimTime t, double v) { samples_.push_back({t, v}); }
-
-  size_t size() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-
-  double mean() const {
-    if (samples_.empty()) return 0.0;
-    double s = 0;
-    for (const auto& p : samples_) s += p.value;
-    return s / static_cast<double>(samples_.size());
-  }
-
-  double max() const {
-    double m = 0;
-    for (const auto& p : samples_) m = std::max(m, p.value);
-    return m;
-  }
-
-  double last() const { return samples_.empty() ? 0.0 : samples_.back().value; }
-
-  /// Mean restricted to samples taken at or after `t0` (skips warm-up).
-  double mean_after(SimTime t0) const {
-    double s = 0;
-    size_t n = 0;
-    for (const auto& p : samples_) {
-      if (p.t >= t0) {
-        s += p.value;
-        ++n;
-      }
-    }
-    return n == 0 ? 0.0 : s / static_cast<double>(n);
-  }
-
-  struct Sample {
-    SimTime t;
-    double value;
-  };
-  const std::vector<Sample>& samples() const { return samples_; }
-
- private:
-  std::vector<Sample> samples_;
-};
-
 /// Summary statistics over a bag of values (no time dimension).
 class Distribution {
  public:
   void add(double v) { values_.push_back(v); }
   size_t count() const { return values_.size(); }
-  bool empty() const { return values_.empty(); }
 
   double mean() const {
     if (values_.empty()) return 0.0;
@@ -112,8 +66,6 @@ class Distribution {
     for (double& x : h) x /= static_cast<double>(values_.size());
     return h;
   }
-
-  const std::vector<double>& values() const { return values_; }
 
  private:
   std::vector<double> values_;

@@ -6,7 +6,7 @@
 
 #include "app/bulk_app.h"
 #include "app/harness.h"
-#include "app/http_app.h"
+#include "app/server_app.h"
 #include "app/workload.h"
 #include "core/mptcp_stack.h"
 
@@ -23,7 +23,7 @@ static_assert(std::is_base_of_v<StreamSocket, TcpConnection>);
 static_assert(std::is_base_of_v<StreamSocket, MptcpConnection>);
 static_assert(std::is_constructible_v<BulkSender, StreamSocket&>);
 static_assert(std::is_constructible_v<BulkReceiver, StreamSocket&>);
-static_assert(std::is_constructible_v<HttpServer, SocketFactory&, Port>);
+static_assert(std::is_constructible_v<ServerApp, SocketFactory&, Port>);
 static_assert(!std::is_constructible_v<BulkSender, MptcpStack&>,
               "apps take sockets, not stacks");
 
@@ -209,10 +209,10 @@ TEST(ApiContract, ReleasedSocketsLeaveTheFactory) {
     tc.kind = kind;
     SocketFactory cf(topo.host(a), tc);
     SocketFactory sf(topo.host(b), tc);
-    HttpServer server(sf, 80);
+    ServerApp server(sf, 80);
     StreamSocket& c = cf.connect(topo.addr(a), {topo.addr(b), 80});
     cf.release_when_closed(c);
-    c.on_connected = [&c] { c.write(make_http_request(5000)); };
+    c.on_connected = [&c] { c.write(mpget_encode(5000)); };
     c.on_readable = [&c] {
       uint8_t buf[4096];
       while (c.read(buf) > 0) {

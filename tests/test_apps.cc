@@ -4,10 +4,11 @@
 #include <memory>
 
 #include "app/bulk_app.h"
+#include "app/client_pool.h"
 #include "app/harness.h"
-#include "app/http_app.h"
-#include "bond/bonding.h"
+#include "app/server_app.h"
 #include "app/socket_factory.h"
+#include "bond/bonding.h"
 #include "core/mptcp_stack.h"
 
 namespace mptcp {
@@ -20,13 +21,14 @@ TEST(HttpApp, ClosedLoopServesRequestsOverMptcp) {
   TransportConfig cfg;
   cfg.mptcp.meta_snd_buf_max = cfg.mptcp.meta_rcv_buf_max = 256 * 1024;
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
-  HttpServer server(ss, 80);
+  ServerApp server(ss, 80);
   HttpClientPool pool(cs, rig.client_addr(0), Endpoint{rig.server_addr(), 80},
                       /*clients=*/10, /*response_size=*/20 * 1000);
   pool.start();
   rig.loop().run_until(2 * kSecond);
   EXPECT_GT(pool.completed(), 100u);
   EXPECT_EQ(pool.errors(), 0u);
+  EXPECT_EQ(pool.payload_check().integrity_errors, 0u);
   // The server may have finished responses the clients are still reading.
   EXPECT_GE(server.requests_served(), pool.completed());
   EXPECT_LE(server.requests_served(), pool.completed() + 10);
@@ -38,7 +40,7 @@ TEST(HttpApp, WorksOverPlainTcpFallback) {
   TransportConfig cfg;
   cfg.kind = TransportKind::kTcp;  // plain TCP on both sides
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
-  HttpServer server(ss, 80);
+  ServerApp server(ss, 80);
   HttpClientPool pool(cs, rig.client_addr(0), Endpoint{rig.server_addr(), 80},
                       5, 50 * 1000);
   pool.start();
@@ -54,7 +56,7 @@ TEST(HttpApp, LargeResponsesUseBothPaths) {
   TransportConfig cfg;
   cfg.mptcp.meta_snd_buf_max = cfg.mptcp.meta_rcv_buf_max = 512 * 1024;
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
-  HttpServer server(ss, 80);
+  ServerApp server(ss, 80);
   HttpClientPool pool(cs, rig.client_addr(0), Endpoint{rig.server_addr(), 80},
                       20, 300 * 1000);
   pool.start();

@@ -5,8 +5,9 @@
 #include <memory>
 
 #include "app/bulk_app.h"
+#include "app/client_pool.h"
 #include "app/harness.h"
-#include "app/http_app.h"
+#include "app/server_app.h"
 #include "app/socket_factory.h"
 
 namespace mptcp {
@@ -21,15 +22,16 @@ TEST(HttpRobustness, ClosedLoopSurvivesRandomLoss) {
   TransportConfig cfg;
   cfg.mptcp.meta_snd_buf_max = cfg.mptcp.meta_rcv_buf_max = 128 * 1024;
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
-  HttpServer server(ss, 80);
+  ServerApp server(ss, 80);
   HttpClientPool pool(cs, rig.client_addr(0), {rig.server_addr(), 80},
                       /*clients=*/8, /*size=*/40 * 1000);
   pool.start();
   rig.loop().run_until(10 * kSecond);
   // Requests complete despite loss; every completed response was intact
-  // (the pool verifies exact byte counts).
+  // (the pool verifies exact byte counts and the pattern).
   EXPECT_GT(pool.completed(), 200u);
   EXPECT_EQ(pool.errors(), 0u);
+  EXPECT_EQ(pool.payload_check().integrity_errors, 0u);
 }
 
 TEST(HttpRobustness, ServerSurvivesClientPathFailureMidResponse) {
@@ -39,7 +41,7 @@ TEST(HttpRobustness, ServerSurvivesClientPathFailureMidResponse) {
   TransportConfig cfg;
   cfg.mptcp.meta_snd_buf_max = cfg.mptcp.meta_rcv_buf_max = 256 * 1024;
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
-  HttpServer server(ss, 80);
+  ServerApp server(ss, 80);
   HttpClientPool pool(cs, rig.client_addr(0), {rig.server_addr(), 80},
                       /*clients=*/3, /*size=*/400 * 1000);
   pool.start();
@@ -60,7 +62,7 @@ TEST(HttpRobustness, ManySmallRequestsChurnConnectionsCleanly) {
   cfg.mptcp.meta_snd_buf_max = cfg.mptcp.meta_rcv_buf_max = 64 * 1024;
   cfg.mptcp.tcp.time_wait = 5 * kMillisecond;
   SocketFactory cs(rig.client(), cfg), ss(rig.server(), cfg);
-  HttpServer server(ss, 80);
+  ServerApp server(ss, 80);
   HttpClientPool pool(cs, rig.client_addr(0), {rig.server_addr(), 80},
                       /*clients=*/20, /*size=*/2000);
   pool.start();

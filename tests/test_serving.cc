@@ -291,6 +291,129 @@ TEST(ServingEndToEnd, AcceptBoundRefusesExtraConnections) {
   t.pool->stop();
 }
 
+// --- one server, two codecs --------------------------------------------------
+
+TEST(ServingCodecs, OnePortServesMpgetAndFramedClientsTogether) {
+  PoolConfig pc;
+  pc.connections = 2;
+  ServingRig t({}, pc);
+  HttpClientPool http(*t.cs, t.rig.client_addr(0),
+                      Endpoint{t.rig.server_addr(), 80}, /*clients=*/3,
+                      /*response_size=*/30'000);
+  std::vector<RequestOutcome> outcomes;
+  t.pool->on_done = [&](const RequestOutcome& o) { outcomes.push_back(o); };
+  http.start();
+  t.pool->start();
+  t.rig.loop().run_until(50 * kMillisecond);
+  const std::vector<uint64_t> sizes = {1, 16384, 40'000, 777, 100'000};
+  for (uint64_t s : sizes) t.pool->submit(s);
+  t.rig.loop().run_until(2 * kSecond);
+
+  ASSERT_EQ(outcomes.size(), sizes.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_TRUE(outcomes[i].ok) << "req " << outcomes[i].req_id;
+    EXPECT_EQ(outcomes[i].bytes, sizes[outcomes[i].req_id]);
+  }
+  EXPECT_GT(http.completed(), 20u);
+  EXPECT_EQ(http.errors(), 0u);
+  // Both clients checked every byte they received against the pattern.
+  EXPECT_EQ(http.payload_check().integrity_errors, 0u);
+  EXPECT_EQ(t.pool->payload_check().integrity_errors, 0u);
+  // Served counts both codecs; the closed loop may have responses in
+  // flight to its three clients.
+  EXPECT_GE(t.server->requests_served(), http.completed() + sizes.size());
+  EXPECT_LE(t.server->requests_served(), http.completed() + sizes.size() + 3);
+  EXPECT_EQ(t.server->requests_rejected(), 0u);
+}
+
+TEST(ServingCodecs, SplitMpgetRequestIsAnsweredOnceWhenComplete) {
+  ServingRig t;
+  const std::vector<uint8_t> req = mpget_encode(5'000);
+  const std::span<const uint8_t> wire(req);
+  StreamSocket& c =
+      t.cs->connect(t.rig.client_addr(0), {t.rig.server_addr(), 80});
+  uint64_t got = 0;
+  c.on_connected = [&] {
+    c.write(wire.first(3));
+    t.rig.loop().schedule_in(30 * kMillisecond,
+                             [&] { c.write(wire.subspan(3)); });
+  };
+  c.on_readable = [&] {
+    const size_t n = c.readable_bytes();
+    EXPECT_EQ(readable_pattern_mismatches(c, got, n), 0u);
+    c.consume(n);
+    got += n;
+  };
+  t.rig.loop().run_until(25 * kMillisecond);
+  // The first 3 bytes reached the server, which waits for the rest.
+  size_t server_conns = 0;
+  t.server->for_each_conn([&](StreamSocket& s) {
+    ++server_conns;
+    EXPECT_EQ(s.readable_bytes(), 3u);
+  });
+  EXPECT_EQ(server_conns, 1u);
+  EXPECT_EQ(t.server->bytes_served(), 0u);
+
+  t.rig.loop().run_until(kSecond);
+  EXPECT_EQ(got, 5'000u);
+  EXPECT_TRUE(c.at_eof());
+  EXPECT_EQ(t.server->requests_served(), 1u);
+  EXPECT_EQ(t.server->bytes_served(), 5'000u);
+}
+
+TEST(ServingCodecs, ConnDoneFiresOncePerMpgetConnectionBeforeItsClose) {
+  ServingRig t;
+  constexpr uint64_t kSize = 20'000;
+  size_t done = 0;
+  size_t checked_after = 0;
+  t.server->on_conn_done = [&](StreamSocket& s) {
+    ++done;
+    // The whole body is written, and the connection is still listed.
+    EXPECT_EQ(t.server->bytes_served(), done * kSize);
+    const size_t open = t.server->open_conns();
+    StreamSocket* sp = &s;
+    t.rig.loop().schedule_in(0, [&, sp, open] {
+      // Closed right after the hook (a closed socket takes no more
+      // bytes), still listed until its teardown completes, and no longer
+      // visited.
+      const uint8_t probe[1] = {0};
+      EXPECT_EQ(sp->write(probe), 0u);
+      EXPECT_EQ(t.server->open_conns(), open);
+      t.server->for_each_conn([&](StreamSocket& s2) { EXPECT_NE(&s2, sp); });
+      ++checked_after;
+    });
+  };
+  HttpClientPool pool(*t.cs, t.rig.client_addr(0),
+                      {t.rig.server_addr(), 80}, /*clients=*/2, kSize);
+  pool.start();
+  t.rig.loop().run_until(kSecond);
+  EXPECT_GT(pool.completed(), 10u);
+  EXPECT_EQ(pool.errors(), 0u);
+  EXPECT_EQ(done, t.server->requests_served());
+  EXPECT_EQ(checked_after, done);
+  EXPECT_GE(done, pool.completed());
+  EXPECT_LE(done, pool.completed() + 2);
+}
+
+TEST(ServingCodecs, UnknownMagicClosesTheConnection) {
+  ServingRig t;
+  StreamSocket& c =
+      t.cs->connect(t.rig.client_addr(0), {t.rig.server_addr(), 80});
+  const std::vector<uint8_t> junk(kServingRequestSize, 'X');
+  c.on_connected = [&] { c.write(junk); };
+  t.rig.loop().run_until(kSecond);
+  EXPECT_TRUE(c.at_eof()) << "server kept the connection open";
+  EXPECT_EQ(c.readable_bytes(), 0u);
+  EXPECT_EQ(t.server->conns_accepted(), 1u);
+  EXPECT_EQ(t.server->requests_served(), 0u);
+  EXPECT_EQ(t.server->bytes_served(), 0u);
+  // Dropped: no longer visited, and reaped once the client closes too.
+  t.server->for_each_conn([](StreamSocket&) { ADD_FAILURE(); });
+  c.close();
+  t.rig.loop().run_until(2 * kSecond);
+  EXPECT_EQ(t.server->open_conns(), 0u);
+}
+
 // --- workload-engine serving mode -------------------------------------------
 
 TEST(ServingWorkload, OpenLoopEngineDrivesPoolsAndExportsTailStats) {

@@ -377,14 +377,6 @@ TEST(Trace, DistributionStatistics) {
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-TEST(Trace, TimeSeriesMeanAfterSkipsWarmup) {
-  TimeSeries ts;
-  ts.record(0, 100);
-  ts.record(10, 1);
-  ts.record(20, 3);
-  EXPECT_DOUBLE_EQ(ts.mean_after(5), 2.0);
-}
-
 TEST(Trace, PeriodicSamplerTicksAtPeriod) {
   EventLoop loop;
   std::vector<SimTime> ticks;

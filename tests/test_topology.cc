@@ -303,11 +303,11 @@ TEST(Workload, RegistryReturnsToBaselineAfterThousandConnectionChurn) {
   {
     SocketFactory cf(topo.host(cap.clients[0]), tc);
     SocketFactory sf(topo.host(cap.servers[0]), tc);
-    HttpServer server(sf, 80);
+    ServerApp server(sf, 80);
     StreamSocket& s = cf.connect(topo.addr(cap.clients[0]),
                                  {topo.addr(cap.servers[0]), 80});
     cf.release_when_closed(s);
-    s.on_connected = [&s] { s.write(make_http_request(1000)); };
+    s.on_connected = [&s] { s.write(mpget_encode(1000)); };
     s.on_readable = [&s] {
       uint8_t buf[4096];
       while (s.read(buf) > 0) {
@@ -379,12 +379,12 @@ TEST(Workload, RegistryReturnsToBaselineAfterThousandConnectionChurn) {
     rc.with_scheduler(SchedulerPolicy::kRedundant);
     SocketFactory cf(topo.host(cap.clients[0]), rc);
     SocketFactory sf(topo.host(cap.servers[0]), rc);
-    HttpServer server(sf, 81);
+    ServerApp server(sf, 81);
     StreamSocket& s = cf.connect(topo.addr(cap.clients[0]),
                                  {topo.addr(cap.servers[0]), 81});
     // An effectively endless response keeps the scheduler running for
     // the whole phase.
-    s.on_connected = [&s] { s.write(make_http_request(1'000'000'000)); };
+    s.on_connected = [&s] { s.write(mpget_encode(1'000'000'000)); };
     s.on_readable = [&s] {
       uint8_t buf[4096];
       while (s.read(buf) > 0) {
